@@ -7,9 +7,9 @@
 // mailboxes), then over PageRank in stale-synchronous mode at two staleness
 // windows.  Every fault point runs twice: once under the default retry
 // budget ("healed" — the reliable channel retransmits until the fixpoint is
-// bit-identical) and once with the budget zeroed ("legacy" — the bare
-// fail-stop contract of the pre-reliable transport).  Reports, per leg, the
-// outcome and its price:
+// bit-identical) and once with the budget zeroed ("detect" — the same
+// channel checks and dedups but never heals: the fail-stop contract).
+// Reports, per leg, the outcome and its price:
 //
 //   outcome   — "exact" (bit-identical fixpoint) or "abort:<what>" (typed
 //               FaultError); anything else is a bug and exits nonzero
@@ -22,8 +22,10 @@
 //
 // With --verdict the sweep turns into a gate: low-rate drop and corrupt
 // legs must heal bit-identically with retransmits > 0, the kill legs must
-// still abort typed (a dead rank is not healable), and the legacy drop legs
-// must keep their fail-stop abort.  CI runs this as the heal-smoke job.
+// still abort typed (a dead rank is not healable), and every detect-mode
+// drop and corrupt leg must fail stop with a typed abort — the envelope
+// covers every faultable frame, empty ones included, so no corruption can
+// slip through unseen.  CI runs this as the heal-smoke job.
 
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +41,7 @@ namespace {
 struct Leg {
   std::string engine;
   std::string fault;
-  std::string mode;  // "healed" (default retry budget) or "legacy" (retry=0)
+  std::string mode;  // "healed" (default retry budget) or "detect" (retry=0)
   std::string outcome;
   double wall_s = 0;
   std::uint64_t injected = 0;
@@ -52,7 +54,7 @@ struct SweepPoint {
   vmpi::FaultPlan plan;
 };
 
-vmpi::RetryPolicy legacy_policy() {
+vmpi::RetryPolicy detect_policy() {
   vmpi::RetryPolicy p;
   p.max_attempts = 0;
   return p;
@@ -65,7 +67,7 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
   Leg leg;
   leg.engine = use_async ? "async" : "bsp+bruck";
   leg.fault = point.name;
-  leg.mode = retry.enabled() ? "healed" : "legacy";
+  leg.mode = retry.enabled() ? "healed" : "detect";
 
   vmpi::RunOptions options;
   options.fault = point.plan;
@@ -120,8 +122,9 @@ Leg run_once(const graph::Graph& g, int ranks, bool use_async,
 
 // Stale-synchronous legs ride PageRank, not SSSP: SSP accepts only
 // bounded-round ($SUM refresh) strata, and its exactness claim is the
-// stronger one — bit-identity to the *BSP* oracle, with the epoch ledger
-// (not lattice idempotence) absorbing duplicated and reordered frames.
+// stronger one — bit-identity to the *BSP* oracle, with the reliable
+// channel dropping duplicated frames and the epoch ledger (not lattice
+// idempotence) gating the fold on reordered ones.
 Leg run_ssp_pagerank(const graph::Graph& g, int ranks, std::size_t staleness,
                      const SweepPoint& point, const vmpi::RetryPolicy& retry,
                      double watchdog,
@@ -129,7 +132,7 @@ Leg run_ssp_pagerank(const graph::Graph& g, int ranks, std::size_t staleness,
   Leg leg;
   leg.engine = "ssp s=" + std::to_string(staleness);
   leg.fault = point.name;
-  leg.mode = retry.enabled() ? "healed" : "legacy";
+  leg.mode = retry.enabled() ? "healed" : "detect";
 
   vmpi::RunOptions options;
   options.fault = point.plan;
@@ -232,7 +235,7 @@ int main(int argc, char** argv) {
   kill.plan.kill_epoch = 2;
 
   const vmpi::RetryPolicy healed{};
-  const vmpi::RetryPolicy legacy = legacy_policy();
+  const vmpi::RetryPolicy detect = detect_policy();
 
   std::printf("%-10s  %-12s  %-6s  %9s  %7s  %7s  %7s  %s\n", "engine",
               "fault", "mode", "wall", "injected", "retrans", "deduped",
@@ -276,7 +279,7 @@ int main(int argc, char** argv) {
     }
 
     for (const auto& point : {drop, dup, reorder, corrupt, kill}) {
-      for (const auto& retry : {healed, legacy}) {
+      for (const auto& retry : {healed, detect}) {
         const auto leg =
             run_once(g, ranks, use_async, point, retry, watchdog, reference);
         emit(leg);
@@ -307,14 +310,14 @@ int main(int argc, char** argv) {
     emit(base);
     violated |= base.outcome != "exact";
     for (const auto& point : {drop, dup, reorder, corrupt}) {
-      for (const auto& retry : {healed, legacy}) {
+      for (const auto& retry : {healed, detect}) {
         const auto leg = run_ssp_pagerank(g, ranks, s, point, retry, watchdog,
                                           pr_reference);
         emit(leg);
         violated |= leg.outcome == "WRONG FIXPOINT";
         legs.push_back(leg);
-        // The ledger, unlike an abort, is the designed response to dup and
-        // reorder — in both modes; it predates the reliable channel.
+        // Dup and reorder are absorbed, not aborted, in both modes: the
+        // channel drops duplicates and the ledger waits out reordering.
         if (point.plan.dup_prob > 0 || point.plan.delay_prob > 0) {
           violated |= leg.outcome != "exact";
         }
@@ -324,10 +327,12 @@ int main(int argc, char** argv) {
 
   rule(80);
   std::printf("\nhealed legs ride the reliable channel: drop and corrupt retransmit to a\n");
-  std::printf("bit-identical fixpoint (retrans column); dup/reorder stay exact via frame\n");
-  std::printf("dedup, lattice idempotence, and on ssp the per-(source, epoch) ledger.\n");
-  std::printf("legacy legs (retry=0) keep the fail-stop contract: drop aborts typed within\n");
-  std::printf("the %.1fs watchdog; a killed rank aborts typed in either mode.\n", watchdog);
+  std::printf("bit-identical fixpoint (retrans column); dup/reorder stay exact via the\n");
+  std::printf("channel's sequence dedup and, on ssp, the per-(source, epoch) fold gate.\n");
+  std::printf("detect legs (retry=0) keep the fail-stop contract: corrupt aborts typed on\n");
+  std::printf("the envelope CRC, drop within the %.1fs watchdog; a killed rank aborts\n",
+              watchdog);
+  std::printf("typed in either mode.\n");
 
   if (verdict) {
     int failures = 0;
@@ -352,7 +357,7 @@ int main(int argc, char** argv) {
       }
       // The drop/corrupt checks gate on injected > 0: at small scales a
       // low-rate plan can fire nothing, and a leg with no faults has
-      // nothing to heal (and nothing for the legacy mode to abort on).
+      // nothing to heal (and nothing for the detect mode to abort on).
       if (l.injected == 0) continue;
       if (l.mode == "healed" && (is_drop || is_corrupt)) {
         if (l.outcome != "exact") {
@@ -361,8 +366,8 @@ int main(int argc, char** argv) {
           fail(l, "healed leg recorded no retransmits — channel not engaged");
         }
       }
-      if (l.mode == "legacy" && is_drop && !starts_with(l.outcome, "abort")) {
-        fail(l, "retry=0 drop must keep the fail-stop abort");
+      if (l.mode == "detect" && (is_drop || is_corrupt) && !starts_with(l.outcome, "abort")) {
+        fail(l, "retry=0 drop/corrupt must fail stop with a typed abort");
       }
     }
     if (failures > 0 || violated) {
@@ -371,7 +376,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("\nVERDICT: PASS — drop/corrupt heal with retransmits, kill aborts typed,\n");
-    std::printf("legacy fail-stop preserved.\n");
+    std::printf("detect-mode drop/corrupt fail stop.\n");
     return 0;
   }
 

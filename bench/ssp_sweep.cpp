@@ -25,11 +25,15 @@
 // --verdict turns the chart into a gate (exit 0/1):
 //   (a) every staleness setting reaches the BSP fixpoint bit-identically
 //       (clean AND straggler legs),
-//   (b) a dup+reorder fault leg stays bit-identical AND folds each
-//       (source, epoch) partial exactly once (the epoch ledger really
-//       discards the injected duplicates), and
-//   (c) at least one staleness setting shows lower exposed wait than BSP
-//       under the straggler.
+//   (b) a dup+reorder fault leg stays bit-identical, and a $SUM walk under
+//       dup+reorder folds each (source, epoch) partial exactly once in
+//       both retry modes while the reliable channel — the one duplicate
+//       filter — really discards the injected duplicates, and
+//   (c) stall hiding, counted: under the straggler, with s >= 1 every
+//       other rank scans at least one epoch past its fold frontier
+//       (AsyncLoopStats::ssp_max_scan_lead), s = 0 keeps every rank in
+//       lockstep, and no rank ever leads by more than s.  The exposed-wait
+//       column is printed for information only: it is a wall-clock sample.
 
 #include <algorithm>
 #include <cstdio>
@@ -99,20 +103,21 @@ Leg best_of(int n, const graph::Graph& g, int ranks, std::size_t rounds, bool ss
   return best;
 }
 
-/// Exactly-once probe: a $SUM kRefresh walk-count program run directly on
-/// the AsyncEngine under dup+reorder injection, so the per-rank ledger
-/// counters are visible.  Returns true iff every rank folded exactly
-/// nranks partials per epoch and the ledger discarded at least one
-/// injected duplicate somewhere.
-bool fold_counts_exact_under_dup(const graph::Graph& g, int ranks,
-                                 std::size_t epochs, double watchdog) {
-  vmpi::RunOptions options;
-  options.fault.seed = 202;
-  options.fault.dup_prob = 0.10;
-  options.fault.delay_prob = 0.08;
-  options.watchdog_seconds = watchdog;
+/// One $SUM kRefresh walk-count program run directly on the AsyncEngine
+/// in SSP mode, so the per-rank loop and transport counters are visible
+/// (the query wrappers hide them).
+struct WalkRun {
+  bool folds_exact = true;  // no abort; every rank folded ranks x epochs partials
+  std::vector<std::uint64_t> wire_dups;  // reliable_dups_discarded, per rank
+  std::vector<std::uint64_t> lead;       // ssp_max_scan_lead, per rank
+};
+
+WalkRun run_ssp_walk(const graph::Graph& g, int ranks, std::size_t epochs,
+                     std::size_t staleness, const vmpi::RunOptions& options) {
+  WalkRun out;
   std::vector<int> ok(static_cast<std::size_t>(ranks), 0);
-  std::vector<std::uint64_t> discards(static_cast<std::size_t>(ranks), 0);
+  out.wire_dups.assign(static_cast<std::size_t>(ranks), 0);
+  out.lead.assign(static_cast<std::size_t>(ranks), 0);
   vmpi::run(ranks, options, [&](vmpi::Comm& comm) {
     core::Program program(comm);
     auto* edge = program.relation({.name = "edge", .arity = 2, .jcc = 1});
@@ -145,7 +150,7 @@ bool fold_counts_exact_under_dup(const graph::Graph& g, int ranks,
 
     async::AsyncConfig cfg;
     cfg.ssp = true;
-    cfg.ssp_staleness = 2;
+    cfg.ssp_staleness = staleness;
     async::AsyncEngine engine(comm, cfg);
     const auto run = engine.run(program);
     const auto& ls = engine.loop_stats();
@@ -153,14 +158,37 @@ bool fold_counts_exact_under_dup(const graph::Graph& g, int ranks,
     ok[me] = !run.aborted_fault && ls.ssp_epochs == epochs &&
              ls.ssp_partials_folded ==
                  static_cast<std::uint64_t>(ranks) * epochs;
-    discards[me] = ls.ssp_ledger_discards;
+    out.wire_dups[me] = comm.stats().reliable_dups_discarded;
+    out.lead[me] = ls.ssp_max_scan_lead;
   });
-  std::uint64_t discards_total = 0;
-  for (const auto d : discards) discards_total += d;
-  for (const int o : ok) {
-    if (o == 0) return false;
+  for (const int o : ok) out.folds_exact = out.folds_exact && o != 0;
+  return out;
+}
+
+/// Exactly-once probe: the walk under dup+reorder injection, once under
+/// the default retry budget and once detect-only.  True iff in both modes
+/// every rank folded exactly nranks partials per epoch AND the reliable
+/// channel — the one duplicate filter — discarded at least one injected
+/// duplicate somewhere.
+bool fold_counts_exact_under_dup(const graph::Graph& g, int ranks,
+                                 std::size_t epochs, double watchdog) {
+  bool pass = true;
+  for (const std::uint32_t attempts : {vmpi::RetryPolicy{}.max_attempts, 0u}) {
+    vmpi::RunOptions options;
+    options.fault.seed = 202;
+    options.fault.dup_prob = 0.10;
+    options.fault.delay_prob = 0.08;
+    options.retry.max_attempts = attempts;
+    options.watchdog_seconds = watchdog;
+    const WalkRun run = run_ssp_walk(g, ranks, epochs, /*staleness=*/2, options);
+    std::uint64_t dups = 0;
+    for (const auto d : run.wire_dups) dups += d;
+    std::printf("  retry=%u: folds %s, %llu wire duplicates discarded\n", attempts,
+                run.folds_exact ? "exact" : "VIOLATED",
+                static_cast<unsigned long long>(dups));
+    pass = pass && run.folds_exact && dups > 0;  // the injection must have been caught
   }
-  return discards_total > 0;  // the injection must actually have been caught
+  return pass;
 }
 
 void emit(const Leg& l, const char* outcome) {
@@ -258,24 +286,45 @@ int main(int argc, char** argv) {
   const bool fault_exact = !faulted.aborted && faulted.rows == oracle.rows;
   emit(faulted, fault_exact ? "exact" : (faulted.aborted ? "ABORTED" : "WRONG FIXPOINT"));
 
-  const bool folds_exact = fold_counts_exact_under_dup(g, ranks, rounds, 10.0);
-  const bool wait_improves = best_ssp_wait >= 0 && best_ssp_wait < slow_bsp.wait_s;
-
   rule(56);
-  std::printf("\nexactly-once fold counts under injected dup/reorder: %s\n",
-              folds_exact ? "exact" : "VIOLATED");
-  if (wait_improves) {
-    std::printf("exposed wait under straggler: %s beats bsp+stall (%.3fs < %.3fs)\n",
-                best_ssp_name.c_str(), best_ssp_wait, slow_bsp.wait_s);
-  } else {
-    std::printf("exposed wait under straggler: no window beat bsp+stall (%.3fs vs %.3fs)\n",
-                best_ssp_wait, slow_bsp.wait_s);
+  std::printf("\nexactly-once fold counts under injected dup/reorder:\n");
+  const bool folds_exact = fold_counts_exact_under_dup(g, ranks, rounds, 10.0);
+  std::printf("  => %s\n", folds_exact ? "exact" : "VIOLATED");
+
+  // Stall hiding, counted instead of timed: the largest number of epochs
+  // each rank scanned past the fold frontier (its token-carried watermark).
+  // s = 0 must hold every rank in lockstep (lead 0); any s >= 1 must let
+  // every rank other than the straggler scan past the frontier (lead >= 1:
+  // a rank scans epoch 1 right after its first fold, before any token can
+  // carry that fold, so it sees watermark 0) and never beyond its window
+  // (lead <= s).  Leads above 1 measure how stale the watermark ran — a
+  // token-vs-epoch race, printed but not gated.
+  std::printf("\nstall hiding under straggler (max epochs scanned past the fold frontier):\n");
+  bool stall_hidden = true;
+  for (const std::size_t s : kWindows) {
+    const std::size_t floor = std::min<std::size_t>(s, 1);
+    vmpi::RunOptions options;
+    options.fault = straggler;
+    options.watchdog_seconds = 30.0;
+    const WalkRun run = run_ssp_walk(g, ranks, rounds, s, options);
+    bool reached = run.folds_exact;
+    std::printf("  s=%zu:", s);
+    for (int r = 0; r < ranks; ++r) {
+      const auto lead = run.lead[static_cast<std::size_t>(r)];
+      std::printf(" %llu", static_cast<unsigned long long>(lead));
+      if (lead > s || (r != straggler.stall_rank && lead < floor)) reached = false;
+    }
+    std::printf("  %s\n", reached ? "ok" : "VIOLATED");
+    stall_hidden = stall_hidden && reached;
   }
+  // The exposed-wait numbers stay for information: on a shared box they
+  // are wall-clock samples, too close to gate on.
+  std::printf("exposed wait under straggler (info): best %s %.3fs vs bsp+stall %.3fs\n",
+              best_ssp_name.c_str(), best_ssp_wait, slow_bsp.wait_s);
 
   if (!verdict) return 0;
-  const bool pass = all_exact && fault_exact && folds_exact && wait_improves;
-  std::printf("\nverdict: %s (exact=%d fault_exact=%d folds_exact=%d wait_improves=%d)\n",
-              pass ? "PASS" : "FAIL", all_exact, fault_exact, folds_exact,
-              wait_improves);
+  const bool pass = all_exact && fault_exact && folds_exact && stall_hidden;
+  std::printf("\nverdict: %s (exact=%d fault_exact=%d folds_exact=%d stall_hidden=%d)\n",
+              pass ? "PASS" : "FAIL", all_exact, fault_exact, folds_exact, stall_hidden);
   return pass ? 0 : 1;
 }

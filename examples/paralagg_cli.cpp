@@ -55,9 +55,10 @@
 //                         batches.  Repeatable (serve mode only)
 //     --watchdog SECONDS  fail blocked waits with a typed timeout instead
 //                         of hanging (0 = off, the default)
-//     --retry-max N       retransmit budget per frame for the self-healing
-//                         transport (default 5; 0 = legacy fail-stop, the
-//                         channel never engages and injected faults abort)
+//     --retry-max N       retransmit budget per frame for the reliable
+//                         channel (default 5; 0 = detect, don't heal: the
+//                         channel still checks and dedups every frame, but
+//                         injected corruption and drops abort typed)
 //     --retry-backoff S   seconds before the first retransmit; attempt k
 //                         waits S * 2^k (default 0.05; must be > 0)
 //     --retry-deadline S  hard per-frame ceiling before the retry budget
@@ -215,20 +216,20 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--watchdog") {
       args.watchdog_seconds = std::stod(next());
     } else if (flag == "--retry-max") {
-      // 0 is legal: it restores the pre-reliable fail-stop transport.
+      // 0 is legal: detect, don't heal (fail-stop).
       args.retry.max_attempts =
           static_cast<std::uint32_t>(std::stoul(next()));
     } else if (flag == "--retry-backoff") {
       args.retry.base_backoff = std::stod(next());
       if (args.retry.base_backoff <= 0) {
-        usage("--retry-backoff must be > 0 (use --retry-max 0 to disable "
-              "the reliable channel)");
+        usage("--retry-backoff must be > 0 (use --retry-max 0 to detect "
+              "without healing)");
       }
     } else if (flag == "--retry-deadline") {
       args.retry.deadline = std::stod(next());
       if (args.retry.deadline <= 0) {
-        usage("--retry-deadline must be > 0 (use --retry-max 0 to disable "
-              "the reliable channel)");
+        usage("--retry-deadline must be > 0 (use --retry-max 0 to detect "
+              "without healing)");
       }
     } else if (flag == "--skew-threshold") {
       args.skew_threshold = std::stoull(next());

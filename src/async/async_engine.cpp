@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
 
 #include "async/termination.hpp"
@@ -14,7 +13,6 @@
 #include "core/phase_scope.hpp"
 #include "core/ra_op.hpp"
 #include "core/relation.hpp"
-#include "core/wire.hpp"
 #include "vmpi/fault.hpp"
 #include "vmpi/serialize.hpp"
 
@@ -34,10 +32,9 @@ using core::Version;
 // from the TerminationDetector's control block.
 constexpr int kTagStage = 0x51A50000;  // generated rows -> owner rank
 constexpr int kTagProbe = 0x51A50001;  // delta rows -> static side's bucket ranks
-// Stale-synchronous mode: both frame kinds open with an epoch word inside
-// the CRC-sealed payload, and exactly one frame of each kind flows per
-// (source, destination, epoch) — that is what makes the receiver's
-// per-source epoch ledger a complete exactly-once filter.
+// Stale-synchronous mode: both frame kinds open with an epoch word, and
+// exactly one frame of each kind flows per (source, destination, epoch) —
+// that is what lets the receiver's per-source epoch ledger gate the fold.
 constexpr int kTagSspProbe = 0x51A50002;    // epoch-tagged scan rows
 constexpr int kTagSspPartial = 0x51A50003;  // epoch-tagged pre-folded partials
 
@@ -84,8 +81,6 @@ class StratumLoop {
         nranks_(static_cast<std::size_t>(comm.size())) {
     fresh_.assign(targets_.size(), false);
     stage_out_.resize(targets_.size() * nranks_);
-    app_seq_.assign(nranks_, 0);
-    seen_seqs_.resize(nranks_);
     for (const auto& rule : stratum.loop_rules) {
       if (const auto* j = std::get_if<core::JoinRule>(&rule)) {
         joins_.push_back(JoinTask{j, target_index(j->a), target_index(j->out.target)});
@@ -315,12 +310,8 @@ class StratumLoop {
 
   // -- outbound ---------------------------------------------------------------
 
-  /// Seal and ship one app frame.  The wire trailer's sequence number is
-  /// per destination (stage and probe tags share the counter), so every
-  /// frame this rank ever sends to `dst` is uniquely numbered — which is
-  /// what lets the receiver recognize injected duplicates.
+  /// Ship one app frame and count it for Safra.
   void send_app(int dst, int tag, vmpi::TypedWriter<value_t>& w) {
-    core::wire::seal_frame(w, app_seq_[static_cast<std::size_t>(dst)]++);
     comm_.isend(dst, tag, w.take());
     detector_.on_app_send();
     ++ls_.messages_sent;
@@ -419,43 +410,27 @@ class StratumLoop {
 
   // -- inbound ----------------------------------------------------------------
 
-  /// Open, validate, and dedup-filter one inbound app frame.  Returns
-  /// false (counting it) when the frame is an injected duplicate; throws
-  /// vmpi::FrameDecodeError on corruption.  The Safra receive is recorded
-  /// here, for accepted frames only — the sender counted each message
-  /// once, so discarding the injected copies BEFORE the detector sees
-  /// them is what keeps the counters balanced and termination reachable
-  /// under duplication.
-  bool accept_app(int src, const vmpi::Bytes& bytes, core::wire::Frame& frame) {
-    frame = core::wire::open_frame(bytes);
-    if (frame.empty()) {
-      throw vmpi::FrameDecodeError("async: app frame has no payload");
-    }
-    if (!seen_seqs_[static_cast<std::size_t>(src)].insert(frame.seq).second) {
-      comm_.stats().dup_frames_discarded += 1;
-      return false;
+  /// Check one inbound app frame's shape and credit the Safra receive.
+  /// Wire duplicates never get here (the reliable channel's sequence
+  /// window drops them), so the sender's one count per message balances.
+  vmpi::TypedReader<value_t> accept_app(const vmpi::Bytes& bytes) {
+    if (bytes.empty() || bytes.size() % sizeof(value_t) != 0) {
+      throw vmpi::FrameDecodeError("async: app frame is not a whole, non-empty word count");
     }
     detector_.on_app_receive();
     ++ls_.messages_received;
-    return true;
+    return vmpi::TypedReader<value_t>(bytes);
   }
 
   std::size_t drain_app() {
     std::size_t n = 0;
-    n += comm_.drain(kTagStage, [&](int src, vmpi::Bytes b) {
-      core::wire::Frame frame;
-      if (accept_app(src, b, frame)) on_stage(frame.payload);
-    });
-    n += comm_.drain(kTagProbe, [&](int src, vmpi::Bytes b) {
-      core::wire::Frame frame;
-      if (accept_app(src, b, frame)) on_probe(frame.payload);
-    });
+    n += comm_.drain(kTagStage, [&](int, vmpi::Bytes b) { on_stage(accept_app(b)); });
+    n += comm_.drain(kTagProbe, [&](int, vmpi::Bytes b) { on_probe(accept_app(b)); });
     return n;
   }
 
-  void on_stage(std::span<const std::byte> payload) {
+  void on_stage(vmpi::TypedReader<value_t> r) {
     PhaseScope scope(comm_, profile_, Phase::kDedupAgg);
-    vmpi::TypedReader<value_t> r(payload);
     std::uint64_t rows = 0;
     while (!r.done()) {
       if (r.remaining() < 2) {
@@ -476,9 +451,8 @@ class StratumLoop {
     profile_.add_work(Phase::kDedupAgg, rows);
   }
 
-  void on_probe(std::span<const std::byte> payload) {
+  void on_probe(vmpi::TypedReader<value_t> r) {
     PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
-    vmpi::TypedReader<value_t> r(payload);
     std::uint64_t rows = 0;
     while (!r.done()) {
       if (r.remaining() < 2) {
@@ -517,14 +491,12 @@ class StratumLoop {
       detector_.on_control(src, tag, bytes);
       return;
     }
-    if (tag == kTagStage || tag == kTagProbe) {
-      core::wire::Frame frame;
-      if (!accept_app(src, bytes, frame)) return;
-      if (tag == kTagStage) {
-        on_stage(frame.payload);
-      } else {
-        on_probe(frame.payload);
-      }
+    if (tag == kTagStage) {
+      on_stage(accept_app(bytes));
+      return;
+    }
+    if (tag == kTagProbe) {
+      on_probe(accept_app(bytes));
       return;
     }
     // Foreign tag: an injected delay can carry a control message from an
@@ -555,13 +527,7 @@ class StratumLoop {
   std::vector<int> dest_scratch_;
   Tuple out_scratch_;
 
-  // Fault hardening: per-destination send sequence (stamped into the wire
-  // trailer), per-source set of accepted sequences (injected duplicates
-  // are discarded before the termination detector counts them), and the
-  // progress-watchdog clock.
-  std::vector<value_t> app_seq_;
-  std::vector<std::unordered_set<value_t>> seen_seqs_;
-  double last_progress_ = 0;
+  double last_progress_ = 0;  // the progress watchdog's clock
 };
 
 /// One bounded-round (Jacobi / kRefresh) stratum under the stale-
@@ -587,13 +553,15 @@ class StratumLoop {
 ///               (kRefresh replacement).  The fold advances the local
 ///               watermark that rides the Safra token.
 ///
-/// Exactly-once: each (source, epoch, kind) frame is accepted at most once
-/// — the per-source epoch ledger discards injected duplicates and
-/// retransmits BEFORE the Safra counter is credited and BEFORE anything
-/// reaches an accumulator — and every accepted contribution enters exactly
-/// one fold.  Epoch arithmetic over a commutative+associative aggregate is
-/// then oblivious to delivery order, so the fixpoint is bit-identical to
-/// the BSP engine's, duplicates and reorderings notwithstanding.
+/// Exactly-once: the reliable channel delivers each (source, epoch, kind)
+/// frame at most once (its sequence window drops wire duplicates and
+/// retransmits); the per-source epoch ledger turns that into fold gating —
+/// an epoch folds only once every source's frame arrived — and rejects a
+/// second frame for a filled slot as a typed FrameDecodeError.  Every
+/// accepted contribution enters exactly one fold.  Epoch arithmetic over a
+/// commutative+associative aggregate is then oblivious to delivery order,
+/// so the fixpoint is bit-identical to the BSP engine's, duplicates and
+/// reorderings notwithstanding.
 class SspStratumLoop {
  public:
   SspStratumLoop(vmpi::Comm& comm, const AsyncConfig& cfg, core::RankProfile& profile,
@@ -607,7 +575,6 @@ class SspStratumLoop {
         targets_(targets_of(stratum.loop_rules)),
         nranks_(static_cast<std::size_t>(comm.size())),
         epochs_total_(epochs) {
-    app_seq_.assign(nranks_, 0);
     for (const auto& rule : stratum.loop_rules) {
       if (const auto* j = std::get_if<core::JoinRule>(&rule)) {
         joins_.push_back(SspJoin{j, target_index(j->out.target)});
@@ -734,6 +701,8 @@ class SspStratumLoop {
 
   void scan() {
     const std::uint64_t e = scan_epoch_;
+    const std::uint64_t wmark = detector_.global_watermark();
+    ls_.ssp_max_scan_lead = std::max(ls_.ssp_max_scan_lead, e - std::min(e, wmark));
     EpochState& st = epoch_state(e);
     {
       PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
@@ -899,7 +868,6 @@ class SspStratumLoop {
   // -- outbound ----------------------------------------------------------------
 
   void send_app(int dst, int tag, vmpi::TypedWriter<value_t>& w) {
-    core::wire::seal_frame(w, app_seq_[static_cast<std::size_t>(dst)]++);
     comm_.isend(dst, tag, w.take());
     detector_.on_app_send();
     ++ls_.messages_sent;
@@ -949,11 +917,10 @@ class SspStratumLoop {
   // -- inbound -----------------------------------------------------------------
 
   void on_ssp_frame(int src, int tag, const vmpi::Bytes& bytes) {
-    const core::wire::Frame frame = core::wire::open_frame(bytes);
-    if (frame.empty()) {
-      throw vmpi::FrameDecodeError("ssp: frame has no epoch word");
+    if (bytes.empty() || bytes.size() % sizeof(value_t) != 0) {
+      throw vmpi::FrameDecodeError("ssp: frame is not a whole, non-empty word count");
     }
-    vmpi::TypedReader<value_t> r(frame.payload);
+    vmpi::TypedReader<value_t> r(bytes);
     const auto e = static_cast<std::uint64_t>(r.get());
     if (e >= epochs_total_) {
       throw vmpi::FrameDecodeError("ssp: frame epoch out of range");
@@ -962,19 +929,17 @@ class SspStratumLoop {
     const bool probe_kind = tag == kTagSspProbe;
     // The epoch ledger, consulted BEFORE the Safra counter is credited and
     // before anything reaches an accumulator: exactly one frame of each
-    // kind per (source, epoch) is the sender's contract, so a second one —
-    // the PR 5 dup-injection path, or any retransmit — is discarded here.
-    // An epoch below the fold cursor was only folded because every source's
-    // slot had filled, so a late frame for it is a duplicate by definition.
-    bool dup = e < fold_epoch_;
-    if (!dup) {
+    // kind per (source, epoch) is the sender's contract, and the reliable
+    // channel already dropped every wire duplicate — so a frame for an
+    // already-filled slot (or an already-folded epoch) is a broken
+    // protocol, not a duplicate to discard.
+    bool filled = e < fold_epoch_;
+    if (!filled) {
       const EpochState& st = epoch_state(e);
-      dup = probe_kind ? st.probe_from[s] : st.partial_from[s];
+      filled = probe_kind ? st.probe_from[s] : st.partial_from[s];
     }
-    if (dup) {
-      ++ls_.ssp_ledger_discards;
-      comm_.stats().dup_frames_discarded += 1;
-      return;
+    if (filled) {
+      throw vmpi::FrameDecodeError("ssp: second frame for a filled (source, epoch) slot");
     }
     detector_.on_app_receive();
     ++ls_.messages_received;
@@ -1099,7 +1064,6 @@ class SspStratumLoop {
   std::vector<int> dest_scratch_;
   Tuple out_scratch_;
   Tuple row_scratch_;
-  std::vector<value_t> app_seq_;
   double last_progress_ = 0;
 };
 

@@ -16,9 +16,9 @@
 // and quiescence is decided by a Safra token ring (async::TerminationDetector)
 // instead of an allreduce.  Two message kinds circulate, both framed like
 // the ExchangeRouter wire format ([id | row_count | rows] in value_t units,
-// via TypedWriter/TypedReader, sealed with the core/wire.hpp CRC trailer —
-// the trailer's sequence number is what lets receivers discard injected
-// duplicate frames before they unbalance the Safra counters):
+// via TypedWriter/TypedReader; under a fault plan the reliable channel
+// drops injected duplicates before they could unbalance the Safra
+// counters):
 //
 //   * PROBE (per join rule): a fresh delta row of the recursive side,
 //     replicated from its owner to every rank holding a sub-bucket of the
@@ -146,9 +146,11 @@ struct AsyncLoopStats {
   /// exactly-once invariant is that this equals nranks * epochs on every
   /// rank, no matter what the fault plan injected.
   std::uint64_t ssp_partials_folded = 0;
-  /// Frames discarded by the epoch ledger (injected duplicates and
-  /// retransmits caught before the fold).
-  std::uint64_t ssp_ledger_discards = 0;
+  /// Stall hiding: the largest number of epochs this rank scanned past the
+  /// fold frontier (scan epoch minus the token-carried global watermark at
+  /// scan time).  The staleness gate caps it at ssp_staleness; a rank that
+  /// reaches the cap used its whole window to run ahead instead of waiting.
+  std::uint64_t ssp_max_scan_lead = 0;
 };
 
 class AsyncEngine {

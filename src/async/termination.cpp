@@ -1,9 +1,8 @@
 #include "async/termination.hpp"
 
 #include <algorithm>
-#include <span>
+#include <string>
 
-#include "vmpi/crc32.hpp"
 #include "vmpi/fault.hpp"
 #include "vmpi/serialize.hpp"
 
@@ -11,7 +10,7 @@ namespace paralagg::async {
 
 namespace {
 
-// Token wire format: six little-endian u64 words.
+// Token wire format: five little-endian u64 words.
 //   [0] accumulated counter q (two's-complement int64)
 //   [1] probe id (monotone per ring; rank 0 assigns, forwarders preserve)
 //   [2] token colour (0 = white, 1 = black)
@@ -19,13 +18,12 @@ namespace {
 //       so far on this circulation)
 //   [4] global watermark (the last fully-circulated minimum, distributed by
 //       rank 0 so every holder can refresh its stale-synchronous estimate)
-//   [5] CRC-32 of words [0..4], zero-extended
-// The CRC catches injected corruption; the probe id catches injected
-// duplication and reordering (a token is accepted at most once per rank
-// per probe, and rank 0 only accepts the probe it actually launched).
-constexpr std::size_t kTokenWords = 6;
+// Integrity and duplicate filtering belong to the reliable channel that
+// carries the token; the probe id is the protocol check (a token is
+// accepted at most once per rank per probe, and rank 0 only accepts the
+// probe it actually launched).
+constexpr std::size_t kTokenWords = 5;
 constexpr std::size_t kTokenBytes = kTokenWords * sizeof(std::uint64_t);
-constexpr std::size_t kTokenCrcBytes = (kTokenWords - 1) * sizeof(std::uint64_t);
 
 vmpi::Bytes pack_token(std::int64_t q, std::uint64_t probe_id, bool black,
                        std::uint64_t wmark_acc, std::uint64_t wmark_global) {
@@ -34,7 +32,6 @@ vmpi::Bytes pack_token(std::int64_t q, std::uint64_t probe_id, bool black,
                                   wmark_global};
   vmpi::BufferWriter w(kTokenBytes);
   for (const std::uint64_t word : words) w.put(word);
-  w.put(static_cast<std::uint64_t>(vmpi::crc32(std::as_bytes(std::span(words)))));
   return w.take();
 }
 
@@ -56,10 +53,6 @@ TokenWire unpack_token(const vmpi::Bytes& payload) {
   const auto black = r.get<std::uint64_t>();
   const auto wmark_acc = r.get<std::uint64_t>();
   const auto wmark_global = r.get<std::uint64_t>();
-  const auto crc = r.get<std::uint64_t>();
-  if (vmpi::crc32({payload.data(), kTokenCrcBytes}) != crc) {
-    throw vmpi::FrameDecodeError("safra: token CRC mismatch");
-  }
   if (black > 1) {
     throw vmpi::FrameDecodeError("safra: token colour out of range");
   }
@@ -81,19 +74,18 @@ void TerminationDetector::on_control(int src, int tag, const vmpi::Bytes& payloa
   }
   const TokenWire wire = unpack_token(payload);
 
-  // Duplicate / stale suppression.  Probe ids are strictly increasing, and
-  // each probe visits every rank exactly once, so a token whose id is not
-  // *new* (or, on rank 0, not the outstanding probe) must be an injected
-  // copy or a delayed straggler from an already-decided probe.  Accepting
-  // it twice would double-count counters into q and wreck the quiescence
-  // decision; dropping it is always safe (at worst the probe fails and
-  // rank 0 launches another).
+  // Protocol check.  Probe ids are strictly increasing, one token
+  // circulates at a time, and each probe visits every rank exactly once,
+  // so a token whose id is not *new* (or, on rank 0, not the outstanding
+  // probe) cannot come from a working ring — the reliable channel already
+  // dropped wire duplicates.  Accepting it would double-count counters
+  // into q and wreck the quiescence decision, so it is a typed error.
   const bool fresh = comm_->rank() == 0
                          ? (probe_outstanding_ && wire.probe_id == probe_id_)
                          : wire.probe_id > seen_probe_id_;
   if (!fresh || has_token_) {
-    comm_->stats().dup_frames_discarded += 1;
-    return;
+    throw vmpi::FrameDecodeError("safra: stale or second token for probe " +
+                                 std::to_string(wire.probe_id));
   }
   if (comm_->rank() != 0) seen_probe_id_ = wire.probe_id;
   token_q_ = wire.q;

@@ -27,13 +27,14 @@
 // on_control (or let poll() drain them), and call try_terminate() whenever
 // they are passive.  Once terminated() flips, it never reverts.
 //
-// Fault hardening: tokens carry a monotone probe id and a CRC.  An
-// injected duplicate or stale (delayed, reordered) token is recognised by
-// its id and discarded; a corrupted token fails its CRC and raises
-// vmpi::FrameDecodeError instead of corrupting the quiescence decision.
-// A *dropped* token stalls the probe forever — that is not detectable
-// here by design (Safra assumes reliable delivery) and is the async
-// loop's progress watchdog's job.
+// Fault hardening: tokens ride the reliable channel, which checks and
+// dedups them like any faultable frame; each token also carries a
+// monotone probe id, and a token that fails the probe-id protocol check
+// raises vmpi::FrameDecodeError instead of corrupting the quiescence
+// decision.  A *dropped* token that the channel does not heal (retry
+// budget 0) stalls the probe forever — that is not detectable here by
+// design (Safra assumes reliable delivery) and is the async loop's
+// progress watchdog's job.
 //
 // Epoch watermarks (stale-synchronous mode): each rank may publish a
 // monotone `local watermark` — the number of epochs it has fully folded.

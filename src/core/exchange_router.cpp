@@ -1,13 +1,43 @@
 #include "core/exchange_router.hpp"
 
 #include <cassert>
+#include <cstring>
+#include <string>
 #include <unordered_map>
 
 #include "core/phase_scope.hpp"
-#include "core/wire.hpp"
 #include "vmpi/serialize.hpp"
 
 namespace paralagg::core {
+
+namespace {
+
+/// A hierarchical leg frame: the flush sequence word, then the groups.
+vmpi::TypedWriter<value_t> hier_writer(value_t seq) {
+  vmpi::TypedWriter<value_t> w;
+  w.put(seq);
+  return w;
+}
+
+/// Finish a leg frame; a leg with no rows stays zero bytes on the wire.
+vmpi::Bytes hier_take(vmpi::TypedWriter<value_t>& w) {
+  return w.elements() > 1 ? w.take() : vmpi::Bytes{};
+}
+
+/// Check a leg frame's sequence word against this flush and return the
+/// groups behind it (empty for an empty frame).
+std::span<const std::byte> open_hier(std::span<const std::byte> buf, value_t seq,
+                                     const char* leg) {
+  if (buf.empty()) return buf;
+  value_t got = 0;
+  if (buf.size() >= sizeof got) std::memcpy(&got, buf.data(), sizeof got);
+  if (buf.size() < sizeof got || got != seq) {
+    throw vmpi::FrameDecodeError(std::string("router: stale hierarchical ") + leg + " frame");
+  }
+  return buf.subspan(sizeof got);
+}
+
+}  // namespace
 
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo) {
@@ -123,10 +153,8 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
       w.put_span(std::span<const value_t>(rows));
       st.rows_sent += count;
     }
-    wire::seal_frame(w, static_cast<value_t>(flush_seq_));
     send[d] = w.take();
   }
-  ++flush_seq_;
   pending_rows_ = 0;
   return send;
 }
@@ -145,34 +173,21 @@ void ExchangeRouter::recycle(std::size_t gen) {
   }
 }
 
+void ExchangeRouter::stage_frame(std::span<const std::byte> frame, RouterFlushStats& st) {
+  decode_route_frame(frame, targets_, std::nullopt,
+                     [&](int, std::size_t id, std::span<const value_t> rows) {
+                       targets_[id]->stage_rows(rows);
+                       st.rows_staged += rows.size() / targets_[id]->arity();
+                     });
+}
+
 void ExchangeRouter::decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
                             RankProfile& profile) {
   PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
   for (const auto& buf : received) {
-    // Trailer validation (length, CRC, magic) before the zero-copy reader
-    // sees a single payload word; FrameDecodeError on any mismatch.
-    const wire::Frame frame = wire::open_frame(buf);
-    if (frame.empty()) continue;
-    vmpi::TypedReader<value_t> r(frame.payload);
-    while (!r.done()) {
-      const auto id = static_cast<std::size_t>(r.get());
-      if (id >= targets_.size()) {
-        throw vmpi::FrameDecodeError("router: frame names an unregistered route");
-      }
-      Relation& rel = *targets_[id];
-      if (r.remaining() < 1) {
-        throw vmpi::FrameDecodeError("router: frame truncated before row count");
-      }
-      const auto count = static_cast<std::size_t>(r.get());
-      // Division form: a corrupt count must not overflow the multiply.
-      if (count > r.remaining() / rel.arity()) {
-        throw vmpi::FrameDecodeError("router: frame row count overruns payload");
-      }
-      // Zero-copy decode: the frame body is staged straight from the
-      // receive buffer, no per-tuple materialization.
-      rel.stage_rows(r.take_span(count * rel.arity()));
-      st.rows_staged += count;
-    }
+    // Zero-copy decode: the frame body is staged straight from the receive
+    // buffer, no per-tuple materialization.
+    stage_frame(buf, st);
   }
   profile.add_work(Phase::kDedupAgg, st.rows_staged);
 }
@@ -295,10 +310,10 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   std::vector<vmpi::Bytes> send(nsz);
 
   if (me != leader) {
-    // Member: ship every bucket to the node aggregator as one sealed
-    // [dst | route | count | rows]* frame, then return the all-empty send
-    // vector — posting it keeps the leaders-only exchange collective.
-    vmpi::TypedWriter<value_t> w;
+    // Member: ship every bucket to the node aggregator as one
+    // [seq][dst | route | count | rows]* frame, then return the all-empty
+    // send vector — posting it keeps the leaders-only exchange collective.
+    auto w = hier_writer(seq);
     for (std::size_t d = 0; d < nsz; ++d) {
       for (std::size_t id = 0; id < targets_.size(); ++id) {
         auto& rows = bucket(id, d);
@@ -312,8 +327,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
         st.rows_sent += rows.size() / rel.arity();
       }
     }
-    wire::seal_frame(w, seq);
-    vmpi::Bytes frame = w.take();
+    const vmpi::Bytes frame = hier_take(w);
     comm_->account_send(vmpi::Op::kAlltoallv, frame.size(), leader);
     {
       // The gather leg rides the faultable mailbox path, so injected
@@ -341,49 +355,13 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   }
   {
     vmpi::StatsPause pause(*comm_);
-    std::vector<char> seen(nsz, 0);
-    std::size_t remaining = members.size() - 1;
-    while (remaining > 0) {
-      int src = -1;
-      const vmpi::Bytes buf = comm_->recv(vmpi::kAnySource, up_tag, &src);
-      if (seen[static_cast<std::size_t>(src)] != 0) {
-        comm_->stats().dup_frames_discarded += 1;  // injected duplicate
-        continue;
-      }
-      seen[static_cast<std::size_t>(src)] = 1;
-      --remaining;
-      const wire::Frame frame = wire::open_frame(buf);
-      if (frame.empty()) continue;
-      if (frame.seq != seq) {
-        throw vmpi::FrameDecodeError("router: stale hierarchical gather frame");
-      }
-      vmpi::TypedReader<value_t> r(frame.payload);
-      while (!r.done()) {
-        const auto d = static_cast<std::size_t>(r.get());
-        if (d >= nsz) {
-          throw vmpi::FrameDecodeError("router: gather frame names a bad destination");
-        }
-        if (r.remaining() < 2) {
-          throw vmpi::FrameDecodeError("router: gather frame truncated");
-        }
-        const auto id = static_cast<std::size_t>(r.get());
-        if (id >= targets_.size()) {
-          throw vmpi::FrameDecodeError("router: gather frame names an unregistered route");
-        }
-        const auto count = static_cast<std::size_t>(r.get());
-        const Relation& rel = *targets_[id];
-        if (count > r.remaining() / rel.arity()) {
-          throw vmpi::FrameDecodeError("router: gather frame row count overruns payload");
-        }
-        const auto rows = r.take_span(count * rel.arity());
-        auto& acc = merged[id * nsz + d];
-        acc.insert(acc.end(), rows.begin(), rows.end());
-      }
-    }
-    // Duplicates of frames that arrived after their original was counted.
-    while (comm_->iprobe(vmpi::kAnySource, up_tag)) {
-      (void)comm_->recv(vmpi::kAnySource, up_tag);
-      comm_->stats().dup_frames_discarded += 1;
+    for (std::size_t k = 1; k < members.size(); ++k) {
+      const vmpi::Bytes buf = comm_->recv(vmpi::kAnySource, up_tag);
+      decode_route_frame(open_hier(buf, seq, "gather"), targets_, DstRange{0, n},
+                         [&](int d, std::size_t id, std::span<const value_t> rows) {
+                           auto& acc = merged[id * nsz + static_cast<std::size_t>(d)];
+                           acc.insert(acc.end(), rows.begin(), rows.end());
+                         });
     }
   }
 
@@ -406,7 +384,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   // One frame per destination node, addressed to its elected leader; the
   // final destination travels in-band so the peer leader can scatter.
   for (const int peer : inflight_.leaders) {
-    vmpi::TypedWriter<value_t> w;
+    auto w = hier_writer(seq);
     for (const int d : topo.node_members(peer, n)) {
       for (std::size_t id = 0; id < targets_.size(); ++id) {
         const auto& rows = merged[id * nsz + static_cast<std::size_t>(d)];
@@ -419,8 +397,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
         st.rows_sent += rows.size() / rel.arity();
       }
     }
-    wire::seal_frame(w, seq);
-    send[static_cast<std::size_t>(peer)] = w.take();
+    send[static_cast<std::size_t>(peer)] = hier_take(w);
   }
   pending_rows_ = 0;
   return send;
@@ -437,47 +414,21 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
 
   if (me != leader) {
     // Member: the leaders' exchange delivered only empties here; the node
-    // rows arrive as one sealed [route | count | rows]* scatter frame.
+    // rows arrive as one [seq][route | count | rows]* scatter frame.
     vmpi::Bytes buf;
     {
       PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
       vmpi::StatsPause pause(*comm_);
       buf = comm_->recv(leader, down_tag);
-      while (comm_->iprobe(leader, down_tag)) {
-        (void)comm_->recv(leader, down_tag);
-        comm_->stats().dup_frames_discarded += 1;  // injected duplicate
-      }
     }
     PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
-    const wire::Frame frame = wire::open_frame(buf);
-    if (!frame.empty()) {
-      if (frame.seq != seq) {
-        throw vmpi::FrameDecodeError("router: stale hierarchical scatter frame");
-      }
-      vmpi::TypedReader<value_t> r(frame.payload);
-      while (!r.done()) {
-        const auto id = static_cast<std::size_t>(r.get());
-        if (id >= targets_.size()) {
-          throw vmpi::FrameDecodeError("router: scatter frame names an unregistered route");
-        }
-        Relation& rel = *targets_[id];
-        if (r.remaining() < 1) {
-          throw vmpi::FrameDecodeError("router: scatter frame truncated before row count");
-        }
-        const auto count = static_cast<std::size_t>(r.get());
-        if (count > r.remaining() / rel.arity()) {
-          throw vmpi::FrameDecodeError("router: scatter frame row count overruns payload");
-        }
-        rel.stage_rows(r.take_span(count * rel.arity()));
-        st.rows_staged += count;
-      }
-    }
+    stage_frame(open_hier(buf, seq, "scatter"), st);
     profile.add_work(Phase::kDedupAgg, st.rows_staged);
     return;
   }
 
   // Leader: split every arriving leader frame by final destination —
-  // stage own rows, forward the rest as one sealed frame per member.
+  // stage own rows, forward the rest as one frame per member.
   // Node ranks are contiguous, so member index == d - node_base (the
   // elected leader may sit anywhere in the block, hence base, not me).
   const int base = topo.node_base(me);
@@ -485,39 +436,19 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
   std::vector<std::vector<value_t>> fwd(members.size() * targets_.size());
   {
     PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
+    const DstRange node{base, base + static_cast<int>(members.size())};
     for (const auto& buf : received) {
-      const wire::Frame frame = wire::open_frame(buf);
-      if (frame.empty()) continue;
-      if (frame.seq != seq) {
-        throw vmpi::FrameDecodeError("router: stale hierarchical leaders frame");
-      }
-      vmpi::TypedReader<value_t> r(frame.payload);
-      while (!r.done()) {
-        const auto d = static_cast<int>(r.get());
-        if (d < base || d >= base + static_cast<int>(members.size())) {
-          throw vmpi::FrameDecodeError("router: leaders frame names a rank outside this node");
-        }
-        if (r.remaining() < 2) {
-          throw vmpi::FrameDecodeError("router: leaders frame truncated");
-        }
-        const auto id = static_cast<std::size_t>(r.get());
-        if (id >= targets_.size()) {
-          throw vmpi::FrameDecodeError("router: leaders frame names an unregistered route");
-        }
-        const auto count = static_cast<std::size_t>(r.get());
-        Relation& rel = *targets_[id];
-        if (count > r.remaining() / rel.arity()) {
-          throw vmpi::FrameDecodeError("router: leaders frame row count overruns payload");
-        }
-        const auto rows = r.take_span(count * rel.arity());
-        if (d == me) {
-          rel.stage_rows(rows);
-          st.rows_staged += count;
-        } else {
-          auto& acc = fwd[static_cast<std::size_t>(d - base) * targets_.size() + id];
-          acc.insert(acc.end(), rows.begin(), rows.end());
-        }
-      }
+      decode_route_frame(open_hier(buf, seq, "leaders"), targets_, node,
+                         [&](int d, std::size_t id, std::span<const value_t> rows) {
+                           if (d == me) {
+                             targets_[id]->stage_rows(rows);
+                             st.rows_staged += rows.size() / targets_[id]->arity();
+                           } else {
+                             const auto member = static_cast<std::size_t>(d - base);
+                             auto& acc = fwd[member * targets_.size() + id];
+                             acc.insert(acc.end(), rows.begin(), rows.end());
+                           }
+                         });
     }
     profile.add_work(Phase::kDedupAgg, st.rows_staged);
   }
@@ -526,7 +457,7 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
     for (std::size_t i = 0; i < members.size(); ++i) {
       const int m = members[i];
       if (m == me) continue;  // own rows were staged above
-      vmpi::TypedWriter<value_t> w;
+      auto w = hier_writer(seq);
       for (std::size_t id = 0; id < targets_.size(); ++id) {
         const auto& rows = fwd[i * targets_.size() + id];
         if (rows.empty()) continue;
@@ -535,8 +466,7 @@ void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
         w.put(static_cast<value_t>(rows.size() / rel.arity()));
         w.put_span(std::span<const value_t>(rows));
       }
-      wire::seal_frame(w, seq);
-      vmpi::Bytes frame = w.take();
+      const vmpi::Bytes frame = hier_take(w);
       comm_->account_send(vmpi::Op::kAlltoallv, frame.size(), m);
       // Faultable, like the gather leg.
       vmpi::StatsPause pause(*comm_);

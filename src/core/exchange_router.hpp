@@ -24,19 +24,21 @@
 //
 // Wire format of one flush, per destination rank (all units are value_t):
 //
-//   [ route_id | row_count | row_count * arity values ]*  wire-trailer
+//   [ route_id | row_count | row_count * arity values ]*
 //
-// followed by the core::wire trailer (sequence, length, CRC-32, magic; see
-// core/wire.hpp) sealing every non-empty buffer.  decode() validates the
-// trailer before the zero-copy reader touches the payload, so a corrupted
-// or truncated frame surfaces as vmpi::FrameDecodeError instead of
-// undefined behaviour.  Empty buffers stay zero bytes on the wire.
+// Empty buffers stay zero bytes on the wire.  Frames carry no checksum of
+// their own: on the faultable mailbox path the reliable channel's envelope
+// (vmpi/reliable.hpp) is the one integrity check, and the slot collectives
+// are outside the fault model.  decode_route_frame() still bounds-checks
+// every header word, so a malformed frame surfaces as
+// vmpi::FrameDecodeError instead of undefined behaviour.
 //
 // Route ids are per-router registration indices; every rank must register
 // the same relations in the same order (SPMD, like everything else here).
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -67,6 +69,54 @@ enum class ExchangeAlgorithm : std::uint8_t {
 /// One collective tuple exchange under the chosen algorithm.  Collective.
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo);
+
+/// Destination ranks a hierarchical leg frame may name: [lo, hi).
+struct DstRange {
+  int lo;
+  int hi;
+};
+
+/// Walk one tuple frame `[ route_id | row_count | rows ]*` and call
+/// `on_rows(dst, route_id, rows)` per group.  With `dsts`, every group
+/// opens with its final destination rank, which must lie in the range
+/// (the hierarchical legs); without, dst is -1.  Every structural check
+/// the decoders rely on lives here — whole-word size, registered route,
+/// header and rows inside the frame — so a malformed frame throws
+/// vmpi::FrameDecodeError and never reads past the buffer.
+template <typename F>
+void decode_route_frame(std::span<const std::byte> frame, std::span<Relation* const> targets,
+                        std::optional<DstRange> dsts, F&& on_rows) {
+  if (frame.size() % sizeof(value_t) != 0) {
+    throw vmpi::FrameDecodeError("router: frame size is not a whole word count");
+  }
+  vmpi::TypedReader<value_t> r(frame);
+  const std::size_t header = dsts ? 3 : 2;
+  while (!r.done()) {
+    if (r.remaining() < header) {
+      throw vmpi::FrameDecodeError("router: frame truncated inside a group header");
+    }
+    int dst = -1;
+    if (dsts) {
+      const value_t d = r.get();
+      if (d < static_cast<value_t>(dsts->lo) || d >= static_cast<value_t>(dsts->hi)) {
+        throw vmpi::FrameDecodeError("router: frame names a destination outside its range");
+      }
+      dst = static_cast<int>(d);
+    }
+    const value_t id = r.get();
+    if (id >= targets.size()) {
+      throw vmpi::FrameDecodeError("router: frame names an unregistered route");
+    }
+    const std::size_t arity = targets[static_cast<std::size_t>(id)]->arity();
+    const value_t count = r.get();
+    // Division form: a corrupt count must not overflow the multiply.
+    if (count > r.remaining() / arity) {
+      throw vmpi::FrameDecodeError("router: frame row count overruns payload");
+    }
+    on_rows(dst, static_cast<std::size_t>(id),
+            r.take_span(static_cast<std::size_t>(count) * arity));
+  }
+}
 
 struct RouterFlushStats {
   std::uint64_t rows_sent = 0;       // rows serialized toward remote ranks
@@ -170,21 +220,26 @@ class ExchangeRouter {
   /// Clear one generation's buckets, retaining capacity across flushes;
   /// shrink only a bucket whose capacity dwarfs what it just carried.
   void recycle(std::size_t gen);
+  /// Stage one `[route | count | rows]*` frame into the target relations.
+  void stage_frame(std::span<const std::byte> frame, RouterFlushStats& st);
   /// Stage every frame of a finished exchange (Phase::kDedupAgg).
   void decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
               RankProfile& profile);
 
   // -- hierarchical (two-level) exchange --------------------------------------
   //
+  // Every leg frame opens with the flush sequence word, so a stale frame
+  // from an earlier flush fails loudly even if the tag window wrapped.
+  //
   // post side: members serialize their buckets as [dst|route|count|rows]*
-  // frames (CRC-sealed, faultable isend) toward their node leader; the
+  // frames (faultable isend) toward their node leader; the
   // leader merges its own buckets with the arrivals per (dst, route),
   // runs the combine pass once per merged bucket (the node-level
   // pre-aggregation), packs one frame per destination *node*, and every
   // rank posts the leaders-only ialltoallv (non-leaders all-empty, which
   // keeps the call collective and the split-phase overlap intact).
   // complete side: leaders unpack per final destination, stage their own
-  // rows, and scatter one sealed frame per member; members recv + stage.
+  // rows, and scatter one frame per member; members recv + stage.
   // Leg bytes are attributed to Op::kAlltoallv with intra-node locality;
   // the leaders' exchange records its own cross-node bytes.
 
@@ -225,7 +280,6 @@ class ExchangeRouter {
   std::uint64_t pending_rows_ = 0;
   std::uint64_t loopback_rows_ = 0;
   std::uint64_t hot_routed_rows_ = 0;
-  std::uint64_t flush_seq_ = 0;  // frame sequence stamp (advances per pack)
   std::uint64_t hier_seq_ = 0;   // hierarchical flush sequence (tag rotation)
 };
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/phase_scope.hpp"
-#include "core/wire.hpp"
 #include "vmpi/serialize.hpp"
 
 namespace paralagg::core {
@@ -48,16 +47,9 @@ std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& o
   return shipped;
 }
 
-/// Seal each destination buffer with the wire trailer: the probe batch is
-/// raw tuple words, so an unsealed exchange would turn a corrupted byte
-/// into a silently wrong join input.  The exchange is matched by round,
-/// so the seq word carries no dedup duty here.
 std::vector<vmpi::Bytes> take_all(std::vector<vmpi::TypedWriter<value_t>>& outgoing) {
   std::vector<vmpi::Bytes> send(outgoing.size());
-  for (std::size_t d = 0; d < outgoing.size(); ++d) {
-    wire::seal_frame(outgoing[d], /*seq=*/0);
-    send[d] = outgoing[d].take();
-  }
+  for (std::size_t d = 0; d < outgoing.size(); ++d) send[d] = outgoing[d].take();
   return send;
 }
 
@@ -75,15 +67,17 @@ void emit_output(const OutputSpec& out, std::span<const value_t> a,
 /// Decode the received outer buffers into one flat row-major batch.  The
 /// wire format is already flat value_t rows, so this is a single typed
 /// copy per buffer, no per-tuple materialization.
-std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received) {
+std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received,
+                                        std::size_t arity) {
   std::size_t total = 0;
   for (const auto& buf : received) total += buf.size() / sizeof(value_t);
   std::vector<value_t> batch;
   batch.reserve(total);
   for (const auto& buf : received) {
-    const auto frame = wire::open_frame(buf);  // throws FrameDecodeError if damaged
-    if (frame.empty()) continue;
-    vmpi::TypedReader<value_t> r(frame.payload);
+    if (buf.size() % (arity * sizeof(value_t)) != 0) {
+      throw vmpi::FrameDecodeError("join: probe batch is not a whole number of rows");
+    }
+    vmpi::TypedReader<value_t> r(buf);
     const auto vals = r.take_span(r.remaining());
     batch.insert(batch.end(), vals.begin(), vals.end());
   }
@@ -143,8 +137,8 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
     Tuple scratch;
     static const Tuple kNoMatch;
 
-    const std::vector<value_t> batch = decode_probe_batch(received_outer);
-    assert(outer_arity > 0 && batch.size() % outer_arity == 0);
+    assert(outer_arity > 0);
+    const std::vector<value_t> batch = decode_probe_batch(received_outer, outer_arity);
     const std::size_t nrows = batch.size() / outer_arity;
     const auto row_of = [&](std::size_t i) {
       return std::span<const value_t>(batch.data() + i * outer_arity, outer_arity);

@@ -9,7 +9,6 @@
 
 #include "core/expr.hpp"
 #include "core/ra_op.hpp"
-#include "core/wire.hpp"
 #include "vmpi/fault.hpp"
 #include "vmpi/serialize.hpp"
 
@@ -187,19 +186,14 @@ void ServingEngine::classify_and_validate() {
 }
 
 std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send) {
-  // Owner-routed mutation rows ride the faultable split-phase exchange as
-  // CRC-sealed frames (the dense alltoallv would bypass fault injection
-  // and the reliable transport entirely).  One seq per call: every rank
-  // advances flat_seq_ in the same SPMD order, and the reliable layer (or
-  // the ticket's arrival flags, with the retry budget off) discards
-  // injected duplicates before the decode.
+  // Owner-routed mutation rows ride the faultable split-phase exchange (the
+  // dense alltoallv would bypass fault injection and the reliable channel
+  // entirely), so the channel's envelope checks and dedups them.
   const auto n = send.size();
-  const value_t seq = static_cast<value_t>(flat_seq_++);
   std::vector<vmpi::Bytes> raw(n);
   for (std::size_t d = 0; d < n; ++d) {
-    vmpi::TypedWriter<value_t> w(send[d].size() + core::wire::kTrailerWords);
+    vmpi::TypedWriter<value_t> w(send[d].size());
     w.put_span(std::span<const value_t>(send[d]));
-    core::wire::seal_frame(w, seq);
     raw[d] = w.take();
   }
   auto ticket = comm_->ialltoallv(std::move(raw));
@@ -209,12 +203,12 @@ std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_
   std::vector<value_t> flat;
   flat.reserve(total);
   for (const auto& b : got) {
-    const auto f = core::wire::open_frame(b);  // throws FrameDecodeError if corrupt
-    const std::size_t old = flat.size();
-    flat.resize(old + f.payload.size() / sizeof(value_t));
-    if (!f.payload.empty()) {
-      std::memcpy(flat.data() + old, f.payload.data(), f.payload.size());
+    if (b.size() % sizeof(value_t) != 0) {
+      throw vmpi::FrameDecodeError("serving: mutation frame is not a whole word count");
     }
+    const std::size_t old = flat.size();
+    flat.resize(old + b.size() / sizeof(value_t));
+    if (!b.empty()) std::memcpy(flat.data() + old, b.data(), b.size());
   }
   return flat;
 }

@@ -223,10 +223,9 @@ class ServingEngine {
   void classify_and_validate();
 
   /// Route `send[dest]` flat rows and return the received rows, flattened.
-  /// Rides the faultable split-phase exchange with CRC-sealed frames, so
-  /// serving's mutation traffic heals under the reliable transport and a
-  /// corrupted frame that does get through (retry budget off) surfaces as
-  /// a typed FrameDecodeError, never silent garbage.
+  /// Rides the faultable split-phase exchange, so serving's mutation
+  /// traffic heals under the reliable channel (or, detect-only, a corrupt
+  /// frame surfaces as a typed FrameDecodeError, never silent garbage).
   std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send);
 
   /// Snapshot every mutable relation (cfg_.rollback only; empty otherwise).
@@ -277,7 +276,6 @@ class ServingEngine {
   core::Engine engine_;
   bool ready_ = false;
   std::uint64_t batches_applied_ = 0;
-  std::uint64_t flat_seq_ = 0;  // wire seq of exchange_flat frames
 
   const core::Stratum* recursive_ = nullptr;  // the single recursive stratum
   std::vector<const core::Rule*> rec_rules_;  // its init + loop rules

@@ -18,6 +18,13 @@ double wall_now() {
       .count();
 }
 
+/// The steady-clock instant `seconds` after its epoch (wall_now's scale).
+std::chrono::steady_clock::time_point steady_at(double seconds) {
+  return std::chrono::steady_clock::time_point(
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(seconds)));
+}
+
 // Wait-slice for the serviced blocking paths: short relative to the retry
 // backoff (so retransmit timers fire promptly) but coarse enough that a
 // parked rank costs ~100 wakeups/s, not a spin.
@@ -151,8 +158,7 @@ void Comm::flush_delayed() {
     {
       std::lock_guard lock(box.m);
       for (auto& h : edge.held) {
-        enqueue_locked(box,
-                       detail::Message{rank_, h.tag, std::move(h.payload), h.enveloped});
+        enqueue_locked(box, detail::Message{rank_, h.tag, std::move(h.payload), true});
       }
     }
     edge.held.clear();
@@ -160,7 +166,7 @@ void Comm::flush_delayed() {
   }
 }
 
-void Comm::faulted_enqueue(int dst, int tag, Bytes payload, bool enveloped) {
+void Comm::faulted_enqueue(int dst, int tag, Bytes payload) {
   if (edges_.empty()) edges_.resize(static_cast<std::size_t>(size()));
   auto& edge = edges_[static_cast<std::size_t>(dst)];
   const std::uint64_t seq = edge.seq++;
@@ -185,16 +191,14 @@ void Comm::faulted_enqueue(int dst, int tag, Bytes payload, bool enveloped) {
       break;
     case FaultAction::kDelay:
       stats().faults_delayed += 1;
-      edge.held.push_back(
-          Held{tag, std::move(payload), seq + decision.delay_msgs, enveloped});
+      edge.held.push_back(Held{tag, std::move(payload), seq + decision.delay_msgs});
       copies = 0;
       break;
     case FaultAction::kCorrupt:
+      // Never empty: even a zero-byte payload travels in its envelope.
       stats().faults_corrupted += 1;
-      if (!payload.empty()) {
-        payload[static_cast<std::size_t>(decision.corrupt_index % payload.size())] ^=
-            std::byte{0x5A};
-      }
+      payload[static_cast<std::size_t>(decision.corrupt_index % payload.size())] ^=
+          std::byte{0x5A};
       break;
   }
 
@@ -203,15 +207,14 @@ void Comm::faulted_enqueue(int dst, int tag, Bytes payload, bool enveloped) {
   {
     std::lock_guard lock(box.m);
     for (int c = 0; c < copies; ++c) {
-      enqueue_locked(box, detail::Message{rank_, tag, payload, enveloped});
+      enqueue_locked(box, detail::Message{rank_, tag, payload, true});
       published = true;
     }
     // Release held messages that have now been passed by enough newer
     // sends on this edge (this is what makes the delay a bounded reorder).
     while (!edge.held.empty() && edge.held.front().release_at <= seq) {
       enqueue_locked(box, detail::Message{rank_, edge.held.front().tag,
-                                          std::move(edge.held.front().payload),
-                                          edge.held.front().enveloped});
+                                          std::move(edge.held.front().payload), true});
       edge.held.pop_front();
       published = true;
     }
@@ -237,17 +240,12 @@ void Comm::isend(int dst, int tag, std::span<const std::byte> data) {
 
   // Self-sends are exempt from injection: a process does not lose messages
   // to itself, and the loopback staging paths rely on that.
-  if (dst != rank_ && world_->plan_.faults_messages()) {
-    if (channel_) {
-      faulted_enqueue(dst, tag, channel_->send_data(dst, tag, data, wall_now()),
-                      /*enveloped=*/true);
-      // A send is also a progress opportunity: pump timers and inbound
-      // acks so a compute-and-send phase between blocking waits cannot
-      // let this rank's retransmit obligations go stale.
-      service_reliable();
-      return;
-    }
-    faulted_enqueue(dst, tag, Bytes(data.begin(), data.end()));
+  if (dst != rank_ && channel_) {
+    faulted_enqueue(dst, tag, channel_->send_data(dst, tag, data, wall_now()));
+    // A send is also a progress opportunity: pump timers and inbound acks
+    // so a compute-and-send phase between blocking waits cannot let this
+    // rank's retransmit obligations go stale.
+    service_reliable();
     return;
   }
 
@@ -272,7 +270,7 @@ void Comm::service_reliable() {
   if (!channel_) return;
   const double now = wall_now();
   auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
-  {
+  try {
     std::lock_guard lock(box.m);
     if (box.undelivered > 0) {
       for (auto it = box.q.begin(); it != box.q.end();) {
@@ -281,12 +279,13 @@ void Comm::service_reliable() {
           it = box.q.erase(it);
           --box.undelivered;
         } else if (it->enveloped) {
-          auto payload = channel_->on_data(it->src, it->payload, now);
+          const bool fresh = channel_->on_data(it->src, it->payload, now).has_value();
           --box.undelivered;
-          if (payload) {
-            // Strip in place: the message keeps its arrival position, so
-            // FIFO matching is unchanged by the envelope detour.
-            it->payload = std::move(*payload);
+          if (fresh) {
+            // Strip the header in place: the message keeps its arrival
+            // position, so FIFO matching is unchanged by the envelope.
+            it->payload.erase(it->payload.begin(),
+                              it->payload.begin() + ReliableChannel::kEnvelopeBytes);
             it->enveloped = false;
             ++it;
           } else {
@@ -297,6 +296,11 @@ void Comm::service_reliable() {
         }
       }
     }
+  } catch (const FrameDecodeError&) {
+    // Detect-only channel, corrupt frame: poison the world (our box lock
+    // is released by now) so peers unwind instead of starving on it.
+    world_->fault_abort();
+    throw;
   }
   channel_->poll(now);
   // Ship with our own mailbox lock released: these acquire peer box locks
@@ -305,7 +309,7 @@ void Comm::service_reliable() {
     if (a.ctrl) {
       reliable_send(a.dst, kReliableCtrlTag, std::move(a.bytes));
     } else {
-      faulted_enqueue(a.dst, a.tag, std::move(a.bytes), /*enveloped=*/true);
+      faulted_enqueue(a.dst, a.tag, std::move(a.bytes));
     }
   }
   if (channel_->failure()) {
@@ -343,14 +347,25 @@ Bytes Comm::recv(int src, int tag, int* out_src, int* out_tag) {
   // About to block: anything our own injected delays still hold must go
   // out first, or two ranks could deadlock on each other's held messages.
   flush_delayed();
-  if (channel_) return recv_reliable(src, tag, out_src, out_tag);
+  // With a channel the wait is sliced, so a parked rank still strips
+  // inbound envelopes and answers its transport obligations (retransmit
+  // timers, inbound acks/nacks).  A healing round that makes progress — a
+  // cumulative ack advancing or a fresh frame landing — re-arms the
+  // watchdog, so a wait that is slow *because it is healing* does not time
+  // out while a dead peer still does.  A detect-only channel never reports
+  // progress: its deadline stays fixed.  Ticket::wait rides this path too.
   auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
   const double deadline = world_->watchdog_seconds_;
   const double t0 = wall_now();
-  std::unique_lock lock(box.m);
+  double armed = t0;
+  const auto match = [&](const detail::Message& m) { return matches(m, src, tag); };
   for (;;) {
-    auto it = std::find_if(box.q.begin(), box.q.end(),
-                           [&](const detail::Message& m) { return matches(m, src, tag); });
+    if (channel_) {
+      service_reliable();  // may escalate to a typed abort
+      if (channel_->take_progress()) armed = wall_now();
+    }
+    std::unique_lock lock(box.m);
+    auto it = std::find_if(box.q.begin(), box.q.end(), match);
     if (it != box.q.end()) {
       detail::Message m = std::move(*it);
       box.q.erase(it);
@@ -371,74 +386,19 @@ Bytes Comm::recv(int src, int tag, int* out_src, int* out_tag) {
       throw TimeoutError("recv (released by peer fault)", deadline, stats());
     }
     const auto pred = [&] {
-      return box.aborted || box.faulted ||
-             std::any_of(box.q.begin(), box.q.end(),
-                         [&](const detail::Message& m) { return matches(m, src, tag); });
+      return box.aborted || box.faulted || box.undelivered > 0 ||
+             std::any_of(box.q.begin(), box.q.end(), match);
     };
-    if (deadline > 0) {
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double>(deadline - (wall_now() - t0)));
-      if (!box.cv.wait_until(lock, until, pred)) {
-        lock.unlock();
-        if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
-        world_->fault_abort();
-        throw TimeoutError("recv", deadline, stats());
-      }
+    bool ready = true;
+    if (channel_) {
+      ready = box.cv.wait_for(lock, std::chrono::duration<double>(kServiceSliceSeconds), pred);
+    } else if (deadline > 0) {
+      ready = box.cv.wait_until(lock, steady_at(armed + deadline), pred);
     } else {
       box.cv.wait(lock, pred);
     }
-  }
-}
-
-Bytes Comm::recv_reliable(int src, int tag, int* out_src, int* out_tag) {
-  // The serviced variant of recv: a rank parked here still answers its
-  // transport obligations (retransmit timers, inbound acks/nacks) by
-  // slicing the wait.  The watchdog is re-armed on every healing round
-  // that makes progress — a cumulative ack advancing or a fresh frame
-  // landing — so a wait that is slow *because it is healing* does not
-  // time out, while a genuinely dead peer still does.  Ticket::wait rides
-  // this path too, so ialltoallv waits get the same per-round re-arm.
-  auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
-  const double deadline = world_->watchdog_seconds_;
-  const double t0 = wall_now();
-  double armed = t0;
-  for (;;) {
-    service_reliable();  // may escalate to TimeoutError on budget exhaustion
-    if (channel_->take_progress()) armed = wall_now();
-    {
-      std::unique_lock lock(box.m);
-      auto it = std::find_if(box.q.begin(), box.q.end(), [&](const detail::Message& m) {
-        return matches(m, src, tag);
-      });
-      if (it != box.q.end()) {
-        detail::Message m = std::move(*it);
-        box.q.erase(it);
-        if (out_src != nullptr) *out_src = m.src;
-        if (out_tag != nullptr) *out_tag = m.tag;
-        if (stats_enabled_) {
-          auto& st = stats();
-          st.messages_received += 1;
-          st.p2p_bytes_received += m.payload.size();
-          st.wait_seconds += wall_now() - t0;
-        }
-        return std::move(m.payload);
-      }
-      if (box.aborted) throw WorldAborted{};
-      if (box.faulted) {
-        lock.unlock();
-        if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
-        throw TimeoutError("recv (released by peer fault)", deadline, stats());
-      }
-      const auto pred = [&] {
-        return box.aborted || box.faulted || box.undelivered > 0 ||
-               std::any_of(box.q.begin(), box.q.end(), [&](const detail::Message& m) {
-                 return matches(m, src, tag);
-               });
-      };
-      box.cv.wait_for(lock, std::chrono::duration<double>(kServiceSliceSeconds), pred);
-    }
-    if (deadline > 0 && wall_now() - armed > deadline) {
+    lock.unlock();
+    if (!ready && deadline > 0 && wall_now() - armed > deadline) {
       if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
       world_->fault_abort();
       throw TimeoutError("recv", deadline, stats());
@@ -739,10 +699,10 @@ Comm::Ticket Comm::ialltoallv(std::vector<Bytes> send) {
 void Comm::ticket_deliver(Ticket& ticket, int src, Bytes payload) {
   auto& slot = ticket.arrived_[static_cast<std::size_t>(src)];
   if (slot != 0) {
-    // Injected duplicate of a frame this ticket already absorbed: the
-    // exchange is idempotent at the frame level, so discard and count.
-    stats().dup_frames_discarded += 1;
-    return;
+    // The reliable channel's sequence window already dropped every wire
+    // duplicate, so a second frame is a broken exchange, not a dup.
+    throw FrameDecodeError("vmpi: ialltoallv ticket received two frames from rank " +
+                           std::to_string(src));
   }
   slot = 1;
   ticket.received_[static_cast<std::size_t>(src)] = std::move(payload);
@@ -758,16 +718,6 @@ std::vector<Bytes> Comm::wait(Ticket& ticket) {
   {
     StatsPause pause(*this);
     while (ticket.remaining_ > 0) {
-      int src = 0;
-      Bytes payload = recv(kAnySource, ticket.tag_, &src);
-      ticket_deliver(ticket, src, std::move(payload));
-    }
-    // Injected duplicates of frames we already consumed may still be
-    // queued under this tag; every duplicate of a delivered original is
-    // published with it under one lock, so this drain is deterministic
-    // and leaves nothing of this exchange behind to pollute a later
-    // ticket reusing the tag window.
-    while (iprobe(kAnySource, ticket.tag_)) {
       int src = 0;
       Bytes payload = recv(kAnySource, ticket.tag_, &src);
       ticket_deliver(ticket, src, std::move(payload));

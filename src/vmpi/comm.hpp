@@ -234,10 +234,10 @@ class World {
   void set_fault_plan(const FaultPlan& plan) { plan_ = plan; }
   [[nodiscard]] const FaultPlan& fault_plan() const { return plan_; }
 
-  /// Retransmit budget for the self-healing transport (vmpi/reliable.hpp);
-  /// like the fault plan, installed before the rank threads start.  The
-  /// channel engages only when the plan faults messages, so a clean world
-  /// pays nothing; max_attempts = 0 is the legacy fail-stop escape hatch.
+  /// Retransmit budget of the reliable channel (vmpi/reliable.hpp); like
+  /// the fault plan, installed before the rank threads start.  The channel
+  /// is built whenever the plan faults messages, so a clean world pays
+  /// nothing; max_attempts = 0 makes it detect-only (fail-stop).
   void set_retry(const RetryPolicy& r) { retry_ = r; }
   [[nodiscard]] const RetryPolicy& retry() const { return retry_; }
 
@@ -308,7 +308,7 @@ class World {
 class Comm {
  public:
   Comm(World& world, int rank) : world_(&world), rank_(rank) {
-    if (world.plan_.faults_messages() && world.retry_.enabled()) {
+    if (world.plan_.faults_messages()) {
       channel_ = std::make_unique<ReliableChannel>(
           rank, world.size(), world.retry_, &world.stats_[static_cast<std::size_t>(rank)]);
     }
@@ -378,10 +378,6 @@ class Comm {
     return prev;
   }
   [[nodiscard]] bool stats_enabled() const { return stats_enabled_; }
-
-  /// True when the self-healing transport is engaged on this rank
-  /// (message faults configured AND a nonzero retry budget).
-  [[nodiscard]] bool reliable_active() const { return channel_ != nullptr; }
 
   /// Reset this rank's transport state (drop held frames, fresh channel)
   /// and rendezvous with every peer to un-poison the world — the serving
@@ -623,32 +619,27 @@ class Comm {
   /// first.  Internal wake sentinels become TimeoutError here.
   void timed_barrier_wait();
 
-  /// Move one arrived ialltoallv message into its ticket slot.  A
-  /// duplicate frame (injected dup of an already-delivered source) is
-  /// discarded idempotently and counted in dup_frames_discarded.
+  /// Move one arrived ialltoallv message into its ticket slot.  A second
+  /// frame from one source throws FrameDecodeError: wire duplicates never
+  /// get this far (the reliable channel's sequence window drops them).
   void ticket_deliver(Ticket& ticket, int src, Bytes payload);
 
-  /// Enqueue messages for `dst` under the installed FaultPlan: may drop,
-  /// duplicate, corrupt, or hold the payload back, and releases held
-  /// messages whose delay ran out.  All copies of one logical message are
+  /// Enqueue an enveloped frame for `dst` under the installed FaultPlan:
+  /// may drop, duplicate, corrupt, or hold it back, and releases held
+  /// frames whose delay ran out.  All copies of one logical message are
   /// published under a single mailbox lock, so a duplicate is never
-  /// observable without its original already queued ahead of it.
-  /// `enveloped` marks reliable-transport frames (both first sends and
-  /// retransmits ride this path — every retransmit rolls its own fault).
-  void faulted_enqueue(int dst, int tag, Bytes payload, bool enveloped = false);
+  /// observable without its original already queued ahead of it.  First
+  /// sends and retransmits both ride this path — every retransmit rolls
+  /// its own fault.
+  void faulted_enqueue(int dst, int tag, Bytes payload);
 
   /// The reliable-transport pump: strip or consume enveloped frames in
   /// this rank's mailbox (in place — FIFO positions are preserved),
   /// absorb control frames, fire retransmit timers, ship the channel's
-  /// outbox, and escalate a retry-budget exhaustion to the typed abort.
-  /// Called from every blocking wait's slices, iprobe, isend, and epoch
-  /// boundaries; no-op without an engaged channel.
+  /// outbox, and escalate a retry-budget exhaustion (or, detect-only, a
+  /// corrupt frame) to the typed abort.  Called from every blocking wait's
+  /// slices, iprobe, isend, and epoch boundaries; no-op without a channel.
   void service_reliable();
-
-  /// recv when the reliable channel is engaged: a sliced wait that keeps
-  /// the transport serviced and re-arms the watchdog deadline on every
-  /// healing progress (per retransmit round, not once per call).
-  Bytes recv_reliable(int src, int tag, int* out_src, int* out_tag);
 
   // Dedicated tag space for ialltoallv frames, disjoint from the Bruck
   // relay (0x42......) and the async engine's tags.  The per-Comm sequence
@@ -677,9 +668,8 @@ class Comm {
   /// messages an injected delay is holding back.
   struct Held {
     int tag;
-    Bytes payload;
+    Bytes payload;             // enveloped
     std::uint64_t release_at;  // edge seq at/after which the message ships
-    bool enveloped = false;
   };
   struct EdgeState {
     std::uint64_t seq = 0;
@@ -695,7 +685,7 @@ class Comm {
   std::uint64_t sched_seq_ = 0;
   std::uint64_t epoch_ = 0;
   std::vector<EdgeState> edges_;  // sized lazily when a plan faults messages
-  std::unique_ptr<ReliableChannel> channel_;  // engaged when faults + retry > 0
+  std::unique_ptr<ReliableChannel> channel_;  // built when the plan faults messages
 };
 
 /// Owning handle for a child communicator produced by Comm::split.

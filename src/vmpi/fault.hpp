@@ -23,13 +23,15 @@
 // on every blocking wait converts the silent hang an injected fault would
 // cause into a typed TimeoutError carrying this rank's CommStats snapshot.
 //
-// Since PR 10 the faultable path is normally wrapped by the self-healing
-// transport (vmpi/reliable.hpp): with a nonzero RetryPolicy the injected
-// drops and corruptions are retransmitted to bit-identical completion, and
-// the typed abort fires only when the retry budget is exhausted.  Setting
-// RetryPolicy::max_attempts = 0 restores the bare fail-stop behaviour
-// described above.  Retransmits re-enter this layer with a fresh per-edge
-// physical sequence number, so every retransmit rolls its own fault.
+// Whenever a plan faults messages, every faultable frame is enveloped by
+// the reliable channel (vmpi/reliable.hpp), the one integrity and
+// duplicate filter: with a nonzero RetryPolicy the injected drops and
+// corruptions are retransmitted to bit-identical completion and the typed
+// abort fires only when the retry budget is exhausted; with
+// RetryPolicy::max_attempts = 0 the channel detects but does not heal —
+// corruption raises FrameDecodeError, a drop trips the watchdog.
+// Retransmits re-enter this layer with a fresh per-edge physical sequence
+// number, so every retransmit rolls its own fault.
 
 #include <cstdint>
 #include <stdexcept>
@@ -69,9 +71,9 @@ struct FaultInjectedDeath : FaultError {
   std::uint64_t epoch;
 };
 
-/// A wire frame failed validation (length, magic, or CRC): raised by the
-/// framed decode paths instead of feeding a corrupted buffer into the
-/// zero-copy readers.  Derives from FaultError so one catch site in the
+/// A wire frame failed validation: the reliable envelope's CRC (detect-only
+/// mode), or a decoder's structural bounds check — raised instead of
+/// feeding a damaged buffer into the zero-copy readers.  Derives from FaultError so one catch site in the
 /// engines covers every injected-failure surface.
 struct FrameDecodeError : FaultError {
   using FaultError::FaultError;

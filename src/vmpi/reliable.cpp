@@ -5,17 +5,19 @@
 #include <string>
 
 #include "vmpi/crc32.hpp"
+#include "vmpi/fault.hpp"
 
 namespace paralagg::vmpi {
 
 namespace {
 
-// "PARARELI" / "PARACTRL": distinct from the sealed-frame magic so a stray
-// application frame can never parse as an envelope (and vice versa).
+// "PARARELI" / "PARACTRL": distinct, so a data frame can never parse as a
+// control frame (and vice versa).
 constexpr std::uint64_t kEnvelopeMagic = 0x50'41'52'41'52'45'4C'49ULL;
 constexpr std::uint64_t kCtrlMagic = 0x50'41'52'41'43'54'52'4CULL;
 constexpr std::size_t kEnvelopeWords = 4;
-constexpr std::size_t kEnvelopeBytes = kEnvelopeWords * sizeof(std::uint64_t);
+constexpr std::size_t kEnvelopeBytes = ReliableChannel::kEnvelopeBytes;
+static_assert(kEnvelopeBytes == kEnvelopeWords * sizeof(std::uint64_t));
 
 enum class CtrlKind : std::uint64_t { kAck = 0, kNack = 1 };
 
@@ -33,7 +35,7 @@ std::uint32_t frame_crc(std::uint64_t seq, std::uint64_t cum,
   return state ^ kCrc32Init;
 }
 
-std::uint64_t read_word(const Bytes& b, std::size_t i) {
+std::uint64_t read_word(std::span<const std::byte> b, std::size_t i) {
   std::uint64_t w = 0;
   std::memcpy(&w, b.data() + i * sizeof(std::uint64_t), sizeof w);
   return w;
@@ -76,6 +78,7 @@ Bytes ReliableChannel::send_data(int dst, int tag, std::span<const std::byte> pa
                                  double now) {
   auto& edge = tx_[static_cast<std::size_t>(dst)];
   const std::uint64_t seq = edge.next_seq++;
+  if (!policy_.enabled()) return envelope(dst, seq, payload);  // nothing to retransmit
   TxFrame frame;
   frame.seq = seq;
   frame.tag = tag;
@@ -84,11 +87,11 @@ Bytes ReliableChannel::send_data(int dst, int tag, std::span<const std::byte> pa
   frame.next_retry = now + policy_.base_backoff;
   Bytes wire = envelope(dst, seq, frame.payload);
   edge.ring.push_back(std::move(frame));
-  ++in_flight_;
   return wire;
 }
 
-std::optional<Bytes> ReliableChannel::on_data(int src, const Bytes& frame, double now) {
+std::optional<std::span<const std::byte>> ReliableChannel::on_data(
+    int src, std::span<const std::byte> frame, double now) {
   auto& rx = rx_[static_cast<std::size_t>(src)];
   const bool well_formed =
       frame.size() >= kEnvelopeBytes && read_word(frame, 0) == kEnvelopeMagic;
@@ -96,12 +99,16 @@ std::optional<Bytes> ReliableChannel::on_data(int src, const Bytes& frame, doubl
   bool valid = false;
   if (well_formed) {
     seq = read_word(frame, 1);
-    const std::span<const std::byte> payload(frame.data() + kEnvelopeBytes,
-                                             frame.size() - kEnvelopeBytes);
-    valid = static_cast<std::uint32_t>(read_word(frame, 3)) ==
-            frame_crc(seq, read_word(frame, 2), payload);
+    // Full-word compare: a flip in the CRC word's unused high half is
+    // damage too, not a frame to accept.
+    valid = read_word(frame, 3) == frame_crc(seq, read_word(frame, 2),
+                                             frame.subspan(kEnvelopeBytes));
   }
   if (!valid) {
+    if (!policy_.enabled()) {
+      throw FrameDecodeError("reliable: frame from rank " + std::to_string(src) +
+                             " failed its envelope CRC");
+    }
     // Corrupt on the wire (a flipped byte anywhere in the frame).  The
     // header may be unreadable, so the NACK carries only our cumulative
     // watermark: "everything after cum is suspect — resend".  The sender
@@ -145,7 +152,7 @@ std::optional<Bytes> ReliableChannel::on_data(int src, const Bytes& frame, doubl
   }
   rx.ack_pending = true;
   progressed_ = true;
-  return Bytes(frame.begin() + static_cast<std::ptrdiff_t>(kEnvelopeBytes), frame.end());
+  return frame.subspan(kEnvelopeBytes);
 }
 
 void ReliableChannel::on_ctrl(int src, const Bytes& frame, double now) {
@@ -177,7 +184,6 @@ void ReliableChannel::absorb_ack(int src, std::uint64_t cum, double now) {
       stats_->frames_healed += 1;
     }
     edge.ring.pop_front();
-    --in_flight_;
   }
   progressed_ = true;
 }
@@ -198,6 +204,7 @@ void ReliableChannel::retransmit_front(TxEdge& edge, int dst, double now) {
 }
 
 void ReliableChannel::poll(double now) {
+  if (!policy_.enabled()) return;  // detect-only: no timers, no ACK traffic
   for (std::size_t d = 0; d < tx_.size(); ++d) {
     auto& edge = tx_[d];
     // Only the ring front retransmits on timer: it is the frame gating the

@@ -1,37 +1,37 @@
 #pragma once
 
-// Self-healing transport for the virtual MPI substrate.
+// The one integrity and duplicate-filter layer of the virtual MPI
+// substrate.
 //
-// PR 5 made the failure model fail-stop: a dropped or corrupted mailbox
-// frame surfaces as a typed abort (watchdog TimeoutError / FrameDecodeError)
-// and the run restarts from a checkpoint — even though the sender still
-// holds the bytes.  ReliableChannel closes that gap with per-edge
-// sequence-numbered delivery layered over the existing faultable mailbox
-// path:
+// Whenever the World's FaultPlan can touch a message, every faultable send
+// (Comm::isend is the only faultable entry point) is wrapped in a 4-word
+// envelope [magic | logical seq | piggybacked cumulative ack | crc], where
+// the CRC covers the sequence number, the piggybacked ack, and the payload.
+// No other layer frames, checksums, or dedups mailbox traffic: a frame
+// carries exactly one 32-byte header and gets exactly one CRC pass.  The
+// receiver's per-edge sequence window discards wire duplicates (injected
+// dups, or retransmits racing a delayed original) before the application
+// sees them.  What happens to a damaged or missing frame depends on the
+// RetryPolicy:
 //
-//   * every faultable send is wrapped in a 4-word envelope
-//     [magic | logical seq | piggybacked cumulative ack | crc], where the
-//     CRC covers the sequence number, the piggybacked ack, and the payload
-//     — so a corrupted
-//     frame is detected *below* the application's sealed-frame decode;
-//   * the sender keeps each unacknowledged frame in a per-edge retransmit
-//     ring, trimmed at the receiver's cumulative-ACK high watermark
-//     (piggybacked on reverse data traffic, or carried by explicit ACK
-//     control messages when no reverse traffic exists);
-//   * a frame that fails its CRC at the receiver triggers an immediate
-//     NACK — a retransmit request — instead of an abort; dropped frames
-//     are recovered by deterministic exponential-backoff retransmit
-//     timers (a receiver cannot NACK a frame it never saw, so sender
-//     timers are the only mechanism that covers a dropped *final* frame);
-//   * duplicates (injected dups, or retransmits racing a delayed
-//     original) are discarded by logical sequence number before the
-//     application sees them;
-//   * when the RetryPolicy budget is exhausted — max_attempts retransmits
-//     of one frame, or the per-frame deadline — the channel escalates to
-//     the PR 5 fail-stop path: the caller poisons the world
+//   * healing (max_attempts > 0): the sender keeps each unacknowledged
+//     frame in a per-edge retransmit ring, trimmed at the receiver's
+//     cumulative-ACK high watermark (piggybacked on reverse data traffic,
+//     or carried by explicit ACK control messages when no reverse traffic
+//     exists).  A frame that fails its CRC triggers an immediate NACK — a
+//     retransmit request — instead of an abort; dropped frames are
+//     recovered by deterministic exponential-backoff retransmit timers (a
+//     receiver cannot NACK a frame it never saw, so sender timers are the
+//     only mechanism that covers a dropped *final* frame).  When the budget
+//     is exhausted — max_attempts retransmits of one frame, or the
+//     per-frame deadline — the caller poisons the world
 //     (World::fault_abort) and raises a TimeoutError whose message embeds
-//     the healing counters, so the outer typed-abort safety net is
-//     unchanged.
+//     the healing counters.
+//   * detect, don't heal (max_attempts = 0): no retransmit ring copy, no
+//     timers, no ACK traffic.  A CRC failure raises FrameDecodeError (the
+//     caller poisons the world first); a gap is never filled, so the
+//     starved receive trips the watchdog at its fixed deadline.  This is
+//     the fail-stop contract, enforced by the same envelope.
 //
 // Control traffic (ACK/NACK) rides the unfaulted reliable_send path, the
 // same modelling choice as the scheduled-collective relay legs: acks model
@@ -60,9 +60,9 @@
 
 namespace paralagg::vmpi {
 
-/// Retransmit budget for the self-healing transport.  max_attempts = 0
-/// disables the layer entirely (the explicit legacy fail-stop escape
-/// hatch): faultable sends ride the wire bare, exactly as before PR 10.
+/// Retransmit budget of the reliable channel.  max_attempts = 0 keeps the
+/// envelope (CRC check, sequence-window dedup) but never heals: the
+/// detect-only fail-stop mode.
 struct RetryPolicy {
   /// Retransmits allowed per frame beyond the initial send; attempt k
   /// (0-based) fires base_backoff * 2^k after the previous one.
@@ -73,6 +73,7 @@ struct RetryPolicy {
   /// the channel escalates, even with attempts left.
   double deadline = 8.0;
 
+  /// True when the channel heals (retransmits); false is detect-only.
   [[nodiscard]] bool enabled() const { return max_attempts > 0; }
 };
 
@@ -88,6 +89,9 @@ inline constexpr int kReliableCtrlTag = 0x4AC50000;
 /// what to (re)send, deliver, discard, or escalate.
 class ReliableChannel {
  public:
+  /// Size of the envelope header every faultable frame carries.
+  static constexpr std::size_t kEnvelopeBytes = 4 * sizeof(std::uint64_t);
+
   /// One wire operation the channel wants performed.  Data frames go back
   /// through the faultable enqueue (fresh fault roll per retransmit);
   /// control frames go through the reliable enqueue under kReliableCtrlTag.
@@ -109,20 +113,24 @@ class ReliableChannel {
   ReliableChannel(int rank, int nranks, const RetryPolicy& policy, CommStats* stats);
 
   /// Sender path: envelope `payload` for `dst` (logical seq + piggybacked
-  /// ack), register it in the retransmit ring, and return the wire bytes.
+  /// ack) and return the wire bytes.  When healing, the payload is also
+  /// kept in the retransmit ring until acknowledged.
   [[nodiscard]] Bytes send_data(int dst, int tag, std::span<const std::byte> payload,
                                 double now);
 
   /// Receiver path: process one enveloped data frame from `src`.  Returns
-  /// the stripped payload if the frame is fresh (deliver it to the
-  /// application), or nullopt if the channel consumed it (duplicate, or
-  /// corrupt-and-NACKed).
-  std::optional<Bytes> on_data(int src, const Bytes& frame, double now);
+  /// a view of the payload inside `frame` if the frame is fresh (deliver
+  /// it), or nullopt if the channel consumed it (a duplicate, or — when
+  /// healing — a corrupt frame it NACKed).  Detect-only, a corrupt frame
+  /// throws FrameDecodeError instead.
+  std::optional<std::span<const std::byte>> on_data(int src, std::span<const std::byte> frame,
+                                                    double now);
 
   /// Receiver path: process one ACK/NACK control frame from `src`.
   void on_ctrl(int src, const Bytes& frame, double now);
 
-  /// Fire due retransmit timers and queue pending explicit ACKs.
+  /// Fire due retransmit timers and queue pending explicit ACKs (no-op
+  /// when detect-only).
   void poll(double now);
 
   /// Drain the wire operations accumulated by on_data / on_ctrl / poll.
@@ -134,15 +142,13 @@ class ReliableChannel {
   /// True if any healing progress (a cumulative ack advanced, a fresh
   /// frame was delivered) happened since the last call; consuming resets
   /// the flag.  Blocking waits use this to re-arm their watchdog per
-  /// retransmit round instead of once per call.
+  /// retransmit round instead of once per call.  Always false when
+  /// detect-only: the watchdog keeps its fixed deadline.
   [[nodiscard]] bool take_progress() {
     const bool p = progressed_;
     progressed_ = false;
-    return p;
+    return p && policy_.enabled();
   }
-
-  /// Any frames still awaiting acknowledgement?
-  [[nodiscard]] bool idle() const { return in_flight_ == 0; }
 
   /// One-line summary of the healing counters for embedding in escalated
   /// fault messages ("what healing was attempted before this abort").
@@ -179,7 +185,6 @@ class ReliableChannel {
   std::vector<RxEdge> rx_;
   std::vector<WireAction> outbox_;
   std::optional<Failure> failure_;
-  std::size_t in_flight_ = 0;
   bool progressed_ = false;
 };
 

@@ -19,10 +19,10 @@ namespace paralagg::vmpi {
 /// rank observes the same schedule from its first message.
 struct RunOptions {
   FaultPlan fault{};
-  /// Retransmit budget for the self-healing transport (vmpi/reliable.hpp).
-  /// Engages only when `fault` injects message faults; default-on, so
+  /// Retransmit budget of the reliable channel (vmpi/reliable.hpp), which
+  /// is built whenever `fault` injects message faults.  Default-on, so
   /// seeded drop/corrupt legs heal to bit-identical fixpoints instead of
-  /// aborting.  max_attempts = 0 restores the bare fail-stop behaviour.
+  /// aborting; max_attempts = 0 detects without healing (fail-stop).
   RetryPolicy retry{};
   /// Deadline (seconds) for every blocking wait; 0 disables the watchdog.
   /// A fault sweep sets a few seconds: long enough for slow CI, short

@@ -111,8 +111,6 @@ class TypedWriter {
 
   [[nodiscard]] std::size_t elements() const { return buf_.size() / sizeof(T); }
   [[nodiscard]] bool empty() const { return buf_.empty(); }
-  /// View of the bytes written so far (for checksumming before take()).
-  [[nodiscard]] std::span<const std::byte> bytes() const { return buf_; }
 
   /// Relinquish the underlying byte buffer (ready for the wire).
   Bytes take() { return std::move(buf_); }

@@ -86,7 +86,8 @@ struct CommStats {
   /// a fault schedule is diagnostic state, not measured traffic).  Sender
   /// side: messages this rank's sends had dropped / duplicated / delayed /
   /// corrupted by the installed FaultPlan.  Receiver side: duplicate
-  /// frames a consumer (ticket or framed decode) discarded.
+  /// frames discarded — by the reliable channel's sequence window, or by
+  /// the async loops when a retired stratum's control frame arrives late.
   std::uint64_t faults_dropped = 0;
   std::uint64_t faults_duplicated = 0;
   std::uint64_t faults_delayed = 0;
@@ -99,12 +100,11 @@ struct CommStats {
   /// schedule-deterministic).  `retransmits` counts data frames re-sent
   /// (timer- or NACK-triggered); `nacks_sent` counts corrupt frames this
   /// rank asked to have resent; `reliable_dups_discarded` counts frames
-  /// the envelope-sequence dedup consumed (these also count into
-  /// dup_frames_discarded — they are dup frames discarded, one layer
-  /// lower); `frames_healed` counts frames that needed at least one
-  /// retransmit and were eventually acknowledged, with `heal_seconds`
-  /// their total first-send-to-ack exposure.  The edge_* vectors (indexed
-  /// by peer rank) locate the sick link.
+  /// the envelope-sequence dedup consumed, in either retry mode (these
+  /// also count into dup_frames_discarded); `frames_healed` counts frames
+  /// that needed at least one retransmit and were eventually acknowledged,
+  /// with `heal_seconds` their total first-send-to-ack exposure.  The
+  /// edge_* vectors (indexed by peer rank) locate the sick link.
   std::uint64_t retransmits = 0;
   std::uint64_t nacks_sent = 0;
   std::uint64_t acks_sent = 0;

@@ -160,7 +160,9 @@ TEST(BTree, PrefixScanEmptyPrefixVisitsEverything) {
   value_t prev_first = 0;
   bool first = true;
   t.scan_prefix(std::span<const value_t>{}, [&](std::span<const value_t> row) {
-    if (!first) EXPECT_GE(row[0], prev_first);
+    if (!first) {
+      EXPECT_GE(row[0], prev_first);
+    }
     prev_first = row[0];
     first = false;
     ++hits;

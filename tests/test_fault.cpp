@@ -9,8 +9,8 @@
 // *healed* (ack/retransmit; the run completes bit-identically with
 // retransmits > 0), duplication and bounded reorder are absorbed, and
 // every schedule replays exactly from its seed.  With retry disabled
-// (max_attempts = 0) the legacy fail-stop contract holds: drops are
-// detected and abort typed.
+// (max_attempts = 0) the channel detects but does not heal — the
+// fail-stop contract: drops and corruption abort typed.
 
 #include <gtest/gtest.h>
 
@@ -78,9 +78,9 @@ struct LegOutcome {
   }
 };
 
-/// RunOptions with retransmission disabled: the pre-reliable-channel
-/// fail-stop transport, byte-for-byte.
-vmpi::RunOptions legacy_options() {
+/// RunOptions with retransmission disabled: the detect-only channel, the
+/// fail-stop transport.
+vmpi::RunOptions detect_only_options() {
   vmpi::RunOptions options;
   options.retry.max_attempts = 0;
   return options;
@@ -212,29 +212,28 @@ TEST(FaultSweep, DropDupReorderAcrossQueriesAndRankCounts) {
     }
   }
 
-  // Legacy fail-stop: retry disabled restores the PR 5 contract — a
-  // dropped frame starves a matched receive and the watchdog converts
-  // that into a typed abort on every rank.
+  // Detect-only fail-stop: with retry disabled the channel never fills a
+  // gap, so a dropped frame starves a matched receive and the watchdog
+  // converts that into a typed abort on every rank.
   for (const Query q : {Query::kSssp, Query::kCc, Query::kTc}) {
     SCOPED_TRACE(std::string("legacy drop x ") + query_name(q));
-    auto options = legacy_options();
+    auto options = detect_only_options();
     options.fault = drop;
     options.watchdog_seconds = 2.0;  // abort arrives via timeout; keep it short
     const auto leg = run_leg(q, 4, options, g);
     expect_unanimous(leg);
     EXPECT_TRUE(leg.all_aborted());
     EXPECT_FALSE(leg.fault_what[0].empty());
-    EXPECT_EQ(leg.total_retransmits(), 0u) << "legacy mode must never retransmit";
+    EXPECT_EQ(leg.total_retransmits(), 0u) << "detect-only mode must never retransmit";
   }
 }
 
 TEST(FaultSweep, CorruptFramesRaiseTypedDecodeErrorOnSealedPath) {
   // overlap_flush routes the router's tuple frames over ialltoallv — the
-  // mailbox (faultable) path — and those frames carry the CRC trailer, so
-  // a flipped payload byte must surface as FrameDecodeError, never as a
-  // silently wrong fixpoint.  Retry is pinned off: this test exercises the
-  // sealed-frame CRC layer *beneath* the reliable channel, which would
-  // otherwise catch the corruption first and heal it.
+  // mailbox (faultable) path — and every such frame rides the reliable
+  // envelope, so a flipped byte must surface as FrameDecodeError, never as
+  // a silently wrong fixpoint.  Retry is pinned off: the detect-only
+  // channel must abort on the CRC failure instead of healing it.
   const auto g = sweep_graph();
   const auto clean = run_leg(Query::kSssp, 4, vmpi::RunOptions{}, g,
                              [](queries::QueryTuning& t) {
@@ -243,7 +242,7 @@ TEST(FaultSweep, CorruptFramesRaiseTypedDecodeErrorOnSealedPath) {
                              });
   ASSERT_FALSE(clean.any_aborted());
 
-  auto options = legacy_options();
+  auto options = detect_only_options();
   options.fault.seed = 44;
   options.fault.corrupt_prob = 0.05;
   options.watchdog_seconds = kWatchdog;
@@ -262,12 +261,12 @@ TEST(FaultSweep, CorruptFramesRaiseTypedDecodeErrorOnSealedPath) {
 }
 
 TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
-  // The Bruck dissemination relays other ranks' sealed frames inside its
-  // own envelopes over the mailbox path, so injection must reach it — and
+  // The Bruck dissemination relays other ranks' frames inside its own
+  // relay records over the mailbox path, so injection must reach it — and
   // the reliable channel must heal it: a dropped relay retransmits after
   // backoff, a flipped byte fails the envelope CRC and is NACKed back for
   // retransmission.  Either way the fixpoint is bit-identical.  With retry
-  // disabled the legacy contract holds: a dropped relay starves a round
+  // disabled the fail-stop contract holds: a dropped relay starves a round
   // into a unanimous typed abort.
   const auto g = sweep_graph();
   const auto clean = run_leg(Query::kSssp, 4, vmpi::RunOptions{}, g);
@@ -296,7 +295,7 @@ TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
     EXPECT_GT(leg.total_retransmits(), 0u);
   }
   {
-    auto options = legacy_options();
+    auto options = detect_only_options();
     options.fault.seed = 48;
     options.fault.drop_prob = 0.10;
     options.watchdog_seconds = 2.0;
@@ -310,10 +309,10 @@ TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
 TEST(FaultSweep, HierarchicalExchangeHealsCorruptAndDropInjection) {
   // The two-level exchange moves tuples over three legs — member->leader
   // up-frames, the leaders-only ialltoallv, and leader->member down-frames
-  // — all sealed and all on the faultable mailbox path, so all three legs
+  // — all on the faultable mailbox path, so all three legs
   // ride the reliable channel: a drop retransmits after backoff, a corrupt
   // byte is NACKed and resent, and the fixpoint stays bit-identical.  With
-  // retry disabled a drop starves a blocking receive into the legacy
+  // retry disabled a drop starves a blocking receive into the fail-stop
   // unanimous typed abort.
   const auto g = sweep_graph();
   const auto hier = [](queries::QueryTuning& t) {
@@ -365,9 +364,9 @@ TEST(FaultSweep, ScheduleReplaysExactlyFromSeed) {
   // healing run's *physical* send schedule (and therefore its per-send
   // fault rolls) is timing-dependent.  The logical replay guarantee for
   // healing runs is covered by test_reliable's counter-determinism test;
-  // here we pin the legacy transport and demand exact physical replay.
+  // here we pin the detect-only transport and demand exact physical replay.
   const auto g = sweep_graph();
-  auto options = legacy_options();
+  auto options = detect_only_options();
   options.fault.seed = 45;
   options.fault.dup_prob = 0.08;
   options.fault.delay_prob = 0.08;
@@ -523,7 +522,7 @@ TEST(AsyncFaults, DroppedDeltasHealToExactFixpoint) {
 
 TEST(AsyncFaults, LegacyDroppedDeltasStarveTerminationIntoTypedAbort) {
   const auto g = sweep_graph();
-  auto options = legacy_options();
+  auto options = detect_only_options();
   options.fault.seed = 47;
   options.fault.drop_prob = 0.05;
   options.watchdog_seconds = 2.0;
@@ -552,11 +551,12 @@ TEST(AsyncFaults, RankDeathStarvesTokenRingIntoTypedAbort) {
 // ---- stale-synchronous mode under faults ------------------------------------
 //
 // SSP's exactly-once contract is precisely a fault-tolerance claim: the
-// per-source epoch ledger must discard injected duplicates and absorb
-// bounded reorder *before* the fold, so every (source, epoch) partial is
-// folded exactly once and the fixpoint stays bit-identical to the BSP
-// oracle.  Drops still abort typed — a missing partial starves the epoch
-// pipeline, never fabricates a wrong sum.
+// reliable channel drops injected duplicates and the per-source epoch
+// ledger gates the fold on every source's frame despite bounded reorder,
+// so every (source, epoch) partial is folded exactly once and the
+// fixpoint stays bit-identical to the BSP oracle.  Unhealed drops abort
+// typed — a missing partial starves the epoch pipeline, never fabricates
+// a wrong sum.
 
 template <typename TuningFn>
 LegOutcome run_pagerank_leg(int ranks, const vmpi::RunOptions& options,
@@ -584,7 +584,6 @@ struct SspWalkOutcome {
   LegOutcome leg;
   std::vector<std::uint64_t> epochs_folded;     // per rank
   std::vector<std::uint64_t> partials_folded;   // per rank
-  std::vector<std::uint64_t> ledger_discards;   // per rank
   std::vector<std::uint64_t> wire_dups;         // per rank: reliable-layer discards
   [[nodiscard]] std::uint64_t wire_dups_total() const {
     std::uint64_t s = 0;
@@ -600,7 +599,6 @@ SspWalkOutcome run_ssp_walk(int ranks, const vmpi::RunOptions& options,
   out.leg.fault_what.resize(static_cast<std::size_t>(ranks));
   out.epochs_folded.assign(static_cast<std::size_t>(ranks), 0);
   out.partials_folded.assign(static_cast<std::size_t>(ranks), 0);
-  out.ledger_discards.assign(static_cast<std::size_t>(ranks), 0);
   out.wire_dups.assign(static_cast<std::size_t>(ranks), 0);
   out.leg.retransmits.assign(static_cast<std::size_t>(ranks), 0);
   out.leg.nacks.assign(static_cast<std::size_t>(ranks), 0);
@@ -649,7 +647,6 @@ SspWalkOutcome run_ssp_walk(int ranks, const vmpi::RunOptions& options,
     const auto& ls = engine.loop_stats();
     out.epochs_folded[me] = ls.ssp_epochs;
     out.partials_folded[me] = ls.ssp_partials_folded;
-    out.ledger_discards[me] = ls.ssp_ledger_discards;
     out.wire_dups[me] = comm.stats().reliable_dups_discarded;
     out.leg.retransmits[me] = comm.stats().retransmits;
     out.leg.nacks[me] = comm.stats().nacks_sent;
@@ -693,12 +690,12 @@ TEST(SspFaults, DupAndReorderFoldEachSourceEpochExactlyOnce) {
   ASSERT_FALSE(clean.leg.any_aborted()) << clean.leg.fault_what[0];
   ASSERT_FALSE(clean.leg.rows.empty());
 
-  for (const bool legacy : {false, true}) {
+  for (const bool detect : {false, true}) {
     for (const int ranks : {4, 7}) {
-      SCOPED_TRACE(std::string(legacy ? "legacy" : "reliable") +
+      SCOPED_TRACE(std::string(detect ? "detect-only" : "healing") +
                    " ssp walk dup+reorder at " + std::to_string(ranks) + " ranks");
       vmpi::RunOptions options;
-      if (legacy) options.retry.max_attempts = 0;
+      if (detect) options.retry.max_attempts = 0;
       options.fault.seed = 49;
       options.fault.dup_prob = 0.15;
       options.fault.delay_prob = 0.10;
@@ -707,7 +704,6 @@ TEST(SspFaults, DupAndReorderFoldEachSourceEpochExactlyOnce) {
       EXPECT_FALSE(out.leg.any_aborted()) << out.leg.fault_what[0];
       EXPECT_EQ(out.leg.rows, clean.leg.rows);  // $SUM survived duplication exactly
 
-      std::uint64_t discards_total = 0;
       for (int r = 0; r < ranks; ++r) {
         // The exactly-once invariant, per rank: every epoch folded once,
         // with exactly one partial per source rank — no matter what the
@@ -716,19 +712,11 @@ TEST(SspFaults, DupAndReorderFoldEachSourceEpochExactlyOnce) {
         EXPECT_EQ(out.partials_folded[static_cast<std::size_t>(r)],
                   static_cast<std::uint64_t>(ranks) * kEpochs)
             << "rank " << r;
-        discards_total += out.ledger_discards[static_cast<std::size_t>(r)];
       }
-      if (legacy) {
-        // Without the reliable channel the injected duplicates reach the
-        // epoch ledger, which must really catch them (otherwise this test
-        // proves nothing).
-        EXPECT_GT(discards_total, 0u);
-      } else {
-        // The reliable channel's sequence dedup discards wire duplicates
-        // before the ledger ever sees them — the defence moved down a
-        // layer, but it must still have fired.
-        EXPECT_GT(out.wire_dups_total() + discards_total, 0u);
-      }
+      // In both retry modes the reliable channel's sequence window is the
+      // one duplicate filter; it must really have fired (otherwise this
+      // test proves nothing).
+      EXPECT_GT(out.wire_dups_total(), 0u);
     }
   }
 }
@@ -765,7 +753,7 @@ TEST(SspFaults, DroppedFramesHealToExactSums) {
 
 TEST(SspFaults, LegacyDroppedFramesStarveEpochPipelineIntoTypedAbort) {
   const auto g = sweep_graph();
-  auto options = legacy_options();
+  auto options = detect_only_options();
   options.fault.seed = 50;
   options.fault.drop_prob = 0.05;
   options.watchdog_seconds = 2.0;

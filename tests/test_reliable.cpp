@@ -138,6 +138,41 @@ TEST(Reliable, DirectedCorruptExhaustsBudgetWithNacksAndRepliesExactly) {
   EXPECT_EQ(first.aborted, second.aborted);
 }
 
+TEST(Reliable, FaultableFrameCarriesExactlyOneEnvelopeHeader) {
+  // One frame format: under a fault plan an N-byte application payload is
+  // enveloped once — N + 32 bytes in the peer's mailbox, in both retry
+  // modes (the send_data image is what the faultable enqueue publishes) —
+  // and the receiving application gets back exactly its N bytes.
+  ASSERT_EQ(vmpi::ReliableChannel::kEnvelopeBytes, 32u);
+  vmpi::RetryPolicy detect;
+  detect.max_attempts = 0;
+  for (const auto& retry : {vmpi::RetryPolicy{}, detect}) {
+    vmpi::CommStats st;
+    vmpi::ReliableChannel tx(0, 2, retry, &st);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{8}, std::size_t{1000}}) {
+      const std::vector<std::byte> payload(n, std::byte{0x2A});
+      EXPECT_EQ(tx.send_data(1, 7, payload, 0.0).size(), n + 32) << "N = " << n;
+    }
+  }
+
+  vmpi::RunOptions options;
+  options.fault.seed = 64;
+  options.fault.dup_prob = 0.5;  // engage the channel; dups are filtered
+  options.watchdog_seconds = kWatchdog;
+  constexpr std::size_t kN = 24;
+  std::vector<std::size_t> got(2, 0);
+  vmpi::run(2, options, [&](vmpi::Comm& comm) {
+    if (comm.rank() == 0) {
+      const std::vector<std::byte> payload(kN, std::byte{0x11});
+      for (int i = 0; i < 4; ++i) comm.isend(1, 9, payload);
+    } else {
+      for (int i = 0; i < 4; ++i) got[1] += comm.recv(0, 9).size();
+    }
+    comm.barrier();
+  });
+  EXPECT_EQ(got[1], 4 * kN);
+}
+
 // ---------------------------------------------------------------------------
 // Serving under the reliable transport
 // ---------------------------------------------------------------------------
@@ -173,10 +208,10 @@ serving::UpdateBatch edge_batch(const vmpi::Comm& comm, std::span<const Tuple> i
 }
 
 TEST(Reliable, ServingMutationFramesHealUnderDrop) {
-  // Serving's own mutation traffic (exchange_flat) rides sealed frames on
-  // the faultable split-phase path, so injected drops must be healed by
-  // the reliable channel: the batch completes, the fixpoint matches the
-  // from-scratch oracle, and real retransmits happened on the wire.
+  // Serving's own mutation traffic (exchange_flat) rides the faultable
+  // split-phase path, so injected drops must be healed by the reliable
+  // channel: the batch completes, the fixpoint matches the from-scratch
+  // oracle, and real retransmits happened on the wire.
   const auto g = graph::make_chain(32, /*max_weight=*/3);
   const Tuple removed{g.edges[5].src, g.edges[5].dst, g.edges[5].weight};
   const std::vector<Tuple> inserts{Tuple{2, 20, 1}};

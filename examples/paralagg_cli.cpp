@@ -69,15 +69,16 @@
 //     --topology MODE     flat (default) | hier — hier routes the tuple
 //                         exchange through per-node aggregator ranks
 //                         (needs --nodes >= 1 to group ranks)
-//     --schedule NAME     linear | rd (default) | swing — collective
-//                         schedule for allreduce/allgather; results are
-//                         bit-identical on any choice
+//     --schedule NAME     linear | rd (default; alias recursive-doubling)
+//                         — collective schedule for allreduce/allgather;
+//                         results are bit-identical on either choice
 //     --out FILE          write result tuples as text
 //
 // Examples:
 //   paralagg_cli sssp --synthetic twitter --scale 13 --ranks 8 --sources 0
 //   paralagg_cli cc --graph my_edges.txt --ranks 16 --out components.txt
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -134,8 +135,21 @@ struct Args {
                "       [--skew-threshold N] [--skew-max-keys N]\n"
                "       [--watchdog SECONDS] [--retry-max N] [--retry-backoff S]\n"
                "       [--retry-deadline S] [--nodes N] [--topology flat|hier]\n"
-               "       [--schedule linear|rd|swing] [--out FILE]\n";
+               "       [--schedule linear|rd] [--out FILE]\n";
   std::exit(2);
+}
+
+/// The value of numeric flag `flag`: the whole token must parse as a T
+/// (in range, no trailing characters), or usage() exits 2.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& tok) {
+  T v{};
+  const char* last = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), last, v);
+  if (tok.empty() || ec != std::errc{} || ptr != last) {
+    usage(("bad value '" + tok + "' for " + flag).c_str());
+  }
+  return v;
 }
 
 Args parse(int argc, char** argv) {
@@ -147,6 +161,15 @@ Args parse(int argc, char** argv) {
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
       return argv[++i];
+    };
+    const auto number = [&]<typename T>(T& out) { out = parse_number<T>(flag, next()); };
+    // A comma-separated list of values, each parsed like a numeric flag.
+    const auto values = [&]() {
+      std::istringstream ss(next());
+      std::string tok;
+      std::vector<core::value_t> out;
+      while (std::getline(ss, tok, ',')) out.push_back(parse_number<core::value_t>(flag, tok));
+      return out;
     };
     if (flag == "--program") {
       args.program_file = next();
@@ -160,17 +183,16 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--synthetic") {
       args.synthetic = next();
     } else if (flag == "--scale") {
-      args.scale = std::stoi(next());
+      number(args.scale);
     } else if (flag == "--ranks") {
-      args.ranks = std::stoi(next());
+      number(args.ranks);
     } else if (flag == "--sources") {
-      std::istringstream ss(next());
-      std::string tok;
-      while (std::getline(ss, tok, ',')) args.sources.push_back(std::stoull(tok));
+      const auto more = values();
+      args.sources.insert(args.sources.end(), more.begin(), more.end());
     } else if (flag == "--rounds") {
-      args.rounds = std::stoull(next());
+      number(args.rounds);
     } else if (flag == "--sub-buckets") {
-      args.sub_buckets = std::stoi(next());
+      number(args.sub_buckets);
     } else if (flag == "--engine") {
       const std::string mode = next();
       if (mode == "async") {
@@ -179,7 +201,7 @@ Args parse(int argc, char** argv) {
         usage(("unknown engine " + mode + " (expected bsp or async)").c_str());
       }
     } else if (flag == "--async-batch") {
-      args.async_batch = std::stoull(next());
+      number(args.async_batch);
       if (args.async_batch == 0) {
         usage("--async-batch must be >= 1 (a zero-row batch never sends)");
       }
@@ -187,13 +209,13 @@ Args parse(int argc, char** argv) {
       // 0 is legal: honest lockstep (every epoch confirmed ring-wide before
       // the next scan).  The flag itself is what opts into SSP.
       args.ssp = true;
-      args.staleness = std::stoull(next());
+      number(args.staleness);
     } else if (flag == "--baseline") {
       args.baseline = true;
     } else if (flag == "--checkpoint") {
       args.checkpoint_file = next();
     } else if (flag == "--checkpoint-every") {
-      args.checkpoint_every = std::stoull(next());
+      number(args.checkpoint_every);
     } else if (flag == "--resume") {
       // The FILE is optional: bare --resume (next token is another flag,
       // or nothing) demands a warm start in serve mode.
@@ -207,40 +229,36 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--update-batch") {
       args.update_batches.push_back(next());
     } else if (flag == "--lookup") {
-      std::istringstream ss(next());
-      std::string tok;
-      std::vector<core::value_t> key;
-      while (std::getline(ss, tok, ',')) key.push_back(std::stoull(tok));
+      auto key = values();
       if (key.empty()) usage("--lookup expects a,b,... key values");
       args.lookups.push_back(std::move(key));
     } else if (flag == "--watchdog") {
-      args.watchdog_seconds = std::stod(next());
+      number(args.watchdog_seconds);
     } else if (flag == "--retry-max") {
       // 0 is legal: detect, don't heal (fail-stop).
-      args.retry.max_attempts =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      number(args.retry.max_attempts);
     } else if (flag == "--retry-backoff") {
-      args.retry.base_backoff = std::stod(next());
+      number(args.retry.base_backoff);
       if (args.retry.base_backoff <= 0) {
         usage("--retry-backoff must be > 0 (use --retry-max 0 to detect "
               "without healing)");
       }
     } else if (flag == "--retry-deadline") {
-      args.retry.deadline = std::stod(next());
+      number(args.retry.deadline);
       if (args.retry.deadline <= 0) {
         usage("--retry-deadline must be > 0 (use --retry-max 0 to detect "
               "without healing)");
       }
     } else if (flag == "--skew-threshold") {
-      args.skew_threshold = std::stoull(next());
+      number(args.skew_threshold);
       if (args.skew_threshold == 0) {
         usage("--skew-threshold must be >= 1 (omit the flag to disable)");
       }
     } else if (flag == "--skew-max-keys") {
-      args.skew_max_keys = std::stoull(next());
+      number(args.skew_max_keys);
       if (args.skew_max_keys == 0) usage("--skew-max-keys must be >= 1");
     } else if (flag == "--nodes") {
-      args.nodes = std::stoi(next());
+      number(args.nodes);
     } else if (flag == "--topology") {
       args.topology = next();
       if (args.topology != "flat" && args.topology != "hier") {
@@ -248,6 +266,11 @@ Args parse(int argc, char** argv) {
       }
     } else if (flag == "--schedule") {
       args.schedule = next();
+      try {
+        (void)vmpi::parse_schedule(args.schedule);
+      } catch (const std::invalid_argument& e) {
+        usage(e.what());
+      }
     } else if (flag == "--out") {
       args.out_file = next();
     } else {

@@ -57,9 +57,7 @@ std::uint32_t ExchangeRouter::add_target(Relation* rel) {
     if (targets_[i] == rel) return static_cast<std::uint32_t>(i);
   }
   targets_.push_back(rel);
-  for (auto& gen : outgoing_) {
-    gen.resize(targets_.size() * static_cast<std::size_t>(comm_->size()));
-  }
+  outgoing_.resize(targets_.size() * static_cast<std::size_t>(comm_->size()));
   return static_cast<std::uint32_t>(targets_.size() - 1);
 }
 
@@ -159,8 +157,8 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
   return send;
 }
 
-void ExchangeRouter::recycle(std::size_t gen) {
-  for (auto& rows : outgoing_[gen]) {
+void ExchangeRouter::recycle() {
+  for (auto& rows : outgoing_) {
     const std::size_t used = rows.size();
     rows.clear();
     // Capacity is retained across flushes: a per-flush shrink_to_fit forced
@@ -193,43 +191,20 @@ void ExchangeRouter::decode(const std::vector<vmpi::Bytes>& received, RouterFlus
 }
 
 RouterFlushStats ExchangeRouter::flush(RankProfile& profile, ExchangeAlgorithm algo) {
-  assert(!inflight_.active && "flush while a split-phase exchange is in flight");
-  if (algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1) {
-    // The two-level path is written split-phase; a blocking flush is just
-    // the degenerate composition with nothing overlapped.
-    post(profile, algo);
-    return complete(profile);
-  }
   RouterFlushStats st;
   st.rows_loopback = loopback_rows_;
   loopback_rows_ = 0;
   st.rows_hot_routed = hot_routed_rows_;
   hot_routed_rows_ = 0;
 
+  const bool hier =
+      algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1;
+  const std::uint64_t seq = hier ? hier_seq_++ : 0;
+  std::vector<int> leaders;
   std::vector<vmpi::Bytes> received;
   {
     PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-    auto send = pack(st);
-    profile.add_work(Phase::kAllToAll, st.rows_sent);
-    received = exchange_alltoallv(*comm_, std::move(send), algo);
-  }
-  recycle(cur_gen_);  // the blocking exchange copied everything out already
-  decode(received, st, profile);
-  return st;
-}
-
-void ExchangeRouter::post(RankProfile& profile, ExchangeAlgorithm algo) {
-  assert(!inflight_.active && "at most one exchange in flight per router");
-  inflight_.stats = RouterFlushStats{};
-  inflight_.stats.rows_loopback = loopback_rows_;
-  loopback_rows_ = 0;
-  inflight_.stats.rows_hot_routed = hot_routed_rows_;
-  hot_routed_rows_ = 0;
-  {
-    PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-    if (algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1) {
-      inflight_.hier = true;
-      inflight_.hier_seq = hier_seq_++;
+    if (hier) {
       {
         // Leader election by load: the member with the most staged delta
         // bytes aggregates, so the node's heaviest buffer never crosses
@@ -237,82 +212,51 @@ void ExchangeRouter::post(RankProfile& profile, ExchangeAlgorithm algo) {
         // allgather runs unaccounted (StatsPause) like the schedule
         // bookkeeping, keeping byte totals election-invariant.
         std::uint64_t my_load = 0;
-        for (const auto& rows : outgoing_[cur_gen_]) {
-          my_load += rows.size() * sizeof(value_t);
-        }
+        for (const auto& rows : outgoing_) my_load += rows.size() * sizeof(value_t);
         vmpi::StatsPause pause(*comm_);
-        const auto loads = comm_->allgather<std::uint64_t>(my_load);
-        inflight_.leaders = comm_->topology().elect_leaders(loads);
+        leaders = comm_->topology().elect_leaders(comm_->allgather<std::uint64_t>(my_load));
       }
-      inflight_.stats.elected_leader =
-          inflight_.leaders[static_cast<std::size_t>(
-              comm_->topology().node_of(comm_->rank()))];
-      auto send = pack_hier(inflight_.stats);
-      profile.add_work(Phase::kAllToAll, inflight_.stats.rows_sent);
-      inflight_.ticket = comm_->ialltoallv(std::move(send));
-      inflight_.eager = false;
+      st.elected_leader =
+          leaders[static_cast<std::size_t>(comm_->topology().node_of(comm_->rank()))];
+      auto send = pack_hier(st, leaders, seq);
+      profile.add_work(Phase::kAllToAll, st.rows_sent);
+      received = comm_->alltoallv_mailbox(std::move(send));
       // Gather and scatter legs on top of the leaders' exchange (which
       // records its own step); recorded on every rank so per-rank step
       // counts stay uniform, as for the scheduled collectives' rounds.
       comm_->account_steps(vmpi::Op::kAlltoallv, 2);
     } else {
-      inflight_.hier = false;
-      auto send = pack(inflight_.stats);
-      profile.add_work(Phase::kAllToAll, inflight_.stats.rows_sent);
-      if (algo == ExchangeAlgorithm::kBruck) {
-        // The relay rounds block; split-phase degrades to an eager exchange.
-        inflight_.received = comm_->alltoallv_bruck(std::move(send));
-        inflight_.eager = true;
-      } else {
-        inflight_.ticket = comm_->ialltoallv(std::move(send));
-        inflight_.eager = false;
-      }
+      auto send = pack(st);
+      profile.add_work(Phase::kAllToAll, st.rows_sent);
+      received = exchange_alltoallv(*comm_, std::move(send), algo);
     }
   }
-  inflight_.gen = cur_gen_;  // frozen until complete() (send-buffer stability)
-  cur_gen_ ^= 1;             // emits now fill the other generation
-  inflight_.active = true;
-}
-
-RouterFlushStats ExchangeRouter::complete(RankProfile& profile) {
-  assert(inflight_.active && "complete without a posted exchange");
-  std::vector<vmpi::Bytes> received;
-  if (inflight_.eager) {
-    received = std::move(inflight_.received);
-  } else {
-    // Whatever latency the pipelined schedule failed to hide is exposed
-    // here — kOverlapWait, not kAllToAll, so the figures can separate
-    // hidden from exposed exchange time.
-    PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
-    received = comm_->wait(inflight_.ticket);
-  }
-  recycle(inflight_.gen);
-  inflight_.active = false;
-  RouterFlushStats st = inflight_.stats;
-  if (inflight_.hier) {
-    inflight_.hier = false;
-    absorb_hier(received, st, profile);
+  recycle();  // the exchange copied everything out already
+  if (hier) {
+    absorb_hier(received, st, profile, leaders, seq);
   } else {
     decode(received, st, profile);
   }
   return st;
 }
 
-std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
+std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st,
+                                                   const std::vector<int>& leaders,
+                                                   std::uint64_t flush_seq) {
   const int n = comm_->size();
   const auto nsz = static_cast<std::size_t>(n);
   const int me = comm_->rank();
   const vmpi::Topology& topo = comm_->topology();
-  const int leader = inflight_.leaders[static_cast<std::size_t>(topo.node_of(me))];
-  const int up_tag = kHierUpTagBase + static_cast<int>(inflight_.hier_seq % kHierTagWindow);
-  const auto seq = static_cast<value_t>(inflight_.hier_seq);
+  const int leader = leaders[static_cast<std::size_t>(topo.node_of(me))];
+  const int up_tag = kHierUpTagBase + static_cast<int>(flush_seq % kHierTagWindow);
+  const auto seq = static_cast<value_t>(flush_seq);
 
   std::vector<vmpi::Bytes> send(nsz);
 
   if (me != leader) {
     // Member: ship every bucket to the node aggregator as one
     // [seq][dst | route | count | rows]* frame, then return the all-empty
-    // send vector — posting it keeps the leaders-only exchange collective.
+    // send vector — exchanging it keeps the leaders-only call collective.
     auto w = hier_writer(seq);
     for (std::size_t d = 0; d < nsz; ++d) {
       for (std::size_t id = 0; id < targets_.size(); ++id) {
@@ -341,8 +285,8 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
   }
 
   // Leader: merge own buckets with every member frame per (final dst,
-  // route).  Buckets stay frozen from the caller's perspective — the rows
-  // move into the merge scratch and recycle() still sees cleared buffers.
+  // route).  The rows move into the merge scratch, so recycle() sees
+  // cleared buffers.
   const std::vector<int> members = topo.node_members(me, n);
   std::vector<std::vector<value_t>> merged(targets_.size() * nsz);
   for (std::size_t id = 0; id < targets_.size(); ++id) {
@@ -383,7 +327,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
 
   // One frame per destination node, addressed to its elected leader; the
   // final destination travels in-band so the peer leader can scatter.
-  for (const int peer : inflight_.leaders) {
+  for (const int peer : leaders) {
     auto w = hier_writer(seq);
     for (const int d : topo.node_members(peer, n)) {
       for (std::size_t id = 0; id < targets_.size(); ++id) {
@@ -404,20 +348,21 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st) {
 }
 
 void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
-                                 RouterFlushStats& st, RankProfile& profile) {
+                                 RouterFlushStats& st, RankProfile& profile,
+                                 const std::vector<int>& leaders, std::uint64_t flush_seq) {
   const int n = comm_->size();
   const int me = comm_->rank();
   const vmpi::Topology& topo = comm_->topology();
-  const int leader = inflight_.leaders[static_cast<std::size_t>(topo.node_of(me))];
-  const int down_tag = kHierDownTagBase + static_cast<int>(inflight_.hier_seq % kHierTagWindow);
-  const auto seq = static_cast<value_t>(inflight_.hier_seq);
+  const int leader = leaders[static_cast<std::size_t>(topo.node_of(me))];
+  const int down_tag = kHierDownTagBase + static_cast<int>(flush_seq % kHierTagWindow);
+  const auto seq = static_cast<value_t>(flush_seq);
 
   if (me != leader) {
     // Member: the leaders' exchange delivered only empties here; the node
     // rows arrive as one [seq][route | count | rows]* scatter frame.
     vmpi::Bytes buf;
     {
-      PhaseScope scope(*comm_, profile, Phase::kOverlapWait);
+      PhaseScope scope(*comm_, profile, Phase::kAllToAll);
       vmpi::StatsPause pause(*comm_);
       buf = comm_->recv(leader, down_tag);
     }

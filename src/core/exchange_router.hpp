@@ -36,7 +36,6 @@
 // Route ids are per-router registration indices; every rank must register
 // the same relations in the same order (SPMD, like everything else here).
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -56,8 +55,8 @@ enum class ExchangeAlgorithm : std::uint8_t {
   /// elected per flush by staged delta bytes (vmpi::Topology::
   /// elect_leaders; ties to the lowest rank) so the heaviest member merges
   /// in place — pre-merges the node's buffered deltas through the
-  /// sender-side combine, a leaders-only ialltoallv carries the merged
-  /// frames across nodes, and each leader scatters the arrivals
+  /// sender-side combine, a leaders-only mailbox alltoallv carries the
+  /// merged frames across nodes, and each leader scatters the arrivals
   /// intra-node.  3 steps instead of 1, but the
   /// cross-node volume shrinks by whatever the node-level MIN/MAX merge
   /// collapses.  Router flushes only; the raw exchange_alltoallv helper
@@ -168,31 +167,6 @@ class ExchangeRouter {
   /// with nothing buffered.
   RouterFlushStats flush(RankProfile& profile, ExchangeAlgorithm algo);
 
-  // -- split-phase flush ------------------------------------------------------
-  //
-  // post() serializes the rows buffered so far and launches the exchange
-  // nonblocking (vmpi::Comm::ialltoallv); complete() blocks for whatever
-  // latency the caller failed to hide (Phase::kOverlapWait) and stages the
-  // received frames.  Between the two, emit() keeps working: rows land in
-  // the *other* generation of per-destination buckets (double-buffered
-  // staging, mirroring MPI's send-buffer-stability rule), so the frozen
-  // in-flight buffers are never touched.  At most one exchange may be in
-  // flight per router; both calls are collective in SPMD order.
-  //
-  // Under kBruck the log-n relay rounds are inherently blocking, so post()
-  // degrades to an eager exchange and complete() only decodes — the same
-  // state machine with no latency hidden.
-
-  /// Launch the exchange for everything buffered; nonblocking under kDense.
-  void post(RankProfile& profile, ExchangeAlgorithm algo);
-
-  /// Absorb the in-flight exchange posted last: waits (if needed), stages
-  /// every received frame, and recycles the frozen buffers.
-  RouterFlushStats complete(RankProfile& profile);
-
-  /// True between a post() and the matching complete().
-  [[nodiscard]] bool in_flight() const { return inflight_.active; }
-
  private:
   /// recycle() returns a bucket's memory only above this capacity (in
   /// value_t) — smaller buffers are cheap to keep warm across flushes.
@@ -207,19 +181,18 @@ class ExchangeRouter {
   static constexpr std::uint64_t kHierTagWindow = 4096;
 
   [[nodiscard]] std::vector<value_t>& bucket(std::size_t route_id, std::size_t dest) {
-    return outgoing_[cur_gen_][route_id * static_cast<std::size_t>(comm_->size()) + dest];
+    return outgoing_[route_id * static_cast<std::size_t>(comm_->size()) + dest];
   }
   /// In-place sender-side combine of one (relation, destination) buffer:
   /// plain targets deduplicate whole rows, aggregated targets fold rows
   /// with equal independent columns through the lattice join.
   void combine(const Relation& rel, std::vector<value_t>& rows, RouterFlushStats& st);
-  /// Serialize the current generation into per-destination send buffers
-  /// (combining when enabled).  Buckets are left intact — frozen — for the
-  /// caller to recycle() once the exchange no longer needs them.
+  /// Serialize the buckets into per-destination send buffers (combining
+  /// when enabled).  Buckets are left intact for recycle().
   std::vector<vmpi::Bytes> pack(RouterFlushStats& st);
-  /// Clear one generation's buckets, retaining capacity across flushes;
-  /// shrink only a bucket whose capacity dwarfs what it just carried.
-  void recycle(std::size_t gen);
+  /// Clear the buckets, retaining capacity across flushes; shrink only a
+  /// bucket whose capacity dwarfs what it just carried.
+  void recycle();
   /// Stage one `[route | count | rows]*` frame into the target relations.
   void stage_frame(std::span<const std::byte> frame, RouterFlushStats& st);
   /// Stage every frame of a finished exchange (Phase::kDedupAgg).
@@ -228,55 +201,35 @@ class ExchangeRouter {
 
   // -- hierarchical (two-level) exchange --------------------------------------
   //
-  // Every leg frame opens with the flush sequence word, so a stale frame
-  // from an earlier flush fails loudly even if the tag window wrapped.
+  // Every leg frame opens with the flush sequence word, so a stale
+  // frame from an earlier flush fails loudly even if the tag window wrapped.
   //
-  // post side: members serialize their buckets as [dst|route|count|rows]*
-  // frames (faultable isend) toward their node leader; the
-  // leader merges its own buckets with the arrivals per (dst, route),
-  // runs the combine pass once per merged bucket (the node-level
-  // pre-aggregation), packs one frame per destination *node*, and every
-  // rank posts the leaders-only ialltoallv (non-leaders all-empty, which
-  // keeps the call collective and the split-phase overlap intact).
-  // complete side: leaders unpack per final destination, stage their own
-  // rows, and scatter one frame per member; members recv + stage.
-  // Leg bytes are attributed to Op::kAlltoallv with intra-node locality;
-  // the leaders' exchange records its own cross-node bytes.
+  // flush() elects each node's leader, then pack_hier: members serialize
+  // their buckets as [dst|route|count|rows]* frames (faultable isend)
+  // toward their node leader; the leader merges its own buckets with the
+  // arrivals per (dst, route), runs the combine pass once per merged
+  // bucket (the node-level pre-aggregation), and packs one frame per
+  // destination *node*.  Every rank then joins the leaders-only mailbox
+  // alltoallv (non-leaders all-empty, which keeps the call collective).
+  // absorb_hier: leaders unpack per final destination, stage their own
+  // rows, and scatter one frame per member; members recv + stage.  Leg
+  // bytes are attributed to Op::kAlltoallv with intra-node locality; the
+  // leaders' exchange records its own cross-node bytes.  `leaders` is the
+  // per-node election of this flush, node-indexed.
 
   /// Up-gather + node merge + leaders-only send vector.  Returns the
-  /// buffers to post (empty everywhere for non-leader ranks).
-  std::vector<vmpi::Bytes> pack_hier(RouterFlushStats& st);
+  /// buffers to exchange (empty everywhere for non-leader ranks).
+  std::vector<vmpi::Bytes> pack_hier(RouterFlushStats& st, const std::vector<int>& leaders,
+                                     std::uint64_t flush_seq);
   /// Decode the leaders' exchange, scatter intra-node, stage everything.
   void absorb_hier(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
-                   RankProfile& profile);
-
-  /// One split-phase exchange in flight: the ticket (or, under kBruck, the
-  /// eagerly exchanged buffers), the generation it froze, and the send-side
-  /// stats carried from post() to complete().
-  struct InFlight {
-    bool active = false;
-    bool eager = false;
-    bool hier = false;         // absorb via absorb_hier instead of decode
-    std::uint64_t hier_seq = 0;
-    std::size_t gen = 0;
-    vmpi::Comm::Ticket ticket;
-    std::vector<vmpi::Bytes> received;
-    RouterFlushStats stats;
-    /// Elected leader per node for this flush, node-indexed.  Stored here
-    /// so the pack (post) and absorb (complete) sides agree even when
-    /// emits refill the other generation in between.
-    std::vector<int> leaders;
-  };
+                   RankProfile& profile, const std::vector<int>& leaders, std::uint64_t flush_seq);
 
   vmpi::Comm* comm_;
   bool preaggregate_;
   std::vector<Relation*> targets_;
-  // Flat row buffers, target-major: outgoing_[gen][route_id * nranks + dest].
-  // Two generations: emits fill cur_gen_ while the other may be frozen
-  // under an in-flight exchange.
-  std::array<std::vector<std::vector<value_t>>, 2> outgoing_;
-  std::size_t cur_gen_ = 0;
-  InFlight inflight_;
+  // Flat row buffers, target-major: outgoing_[route_id * nranks + dest].
+  std::vector<std::vector<value_t>> outgoing_;
   std::uint64_t pending_rows_ = 0;
   std::uint64_t loopback_rows_ = 0;
   std::uint64_t hot_routed_rows_ = 0;

@@ -185,7 +185,7 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
       // on the first probe and replayed for the rest — filters still run
       // per pair, so semantics are unchanged).  Output *content* is
       // unaffected by the reordering: router staging is order-insensitive
-      // (DESIGN.md §6.1).
+      // (DESIGN.md §6).
       std::vector<std::uint32_t> order(nrows);
       std::iota(order.begin(), order.end(), 0);
       // stable_sort keeps arrival order within equal keys; comparisons

@@ -186,7 +186,7 @@ void ServingEngine::classify_and_validate() {
 }
 
 std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send) {
-  // Owner-routed mutation rows ride the faultable split-phase exchange (the
+  // Owner-routed mutation rows ride the faultable mailbox exchange (the
   // dense alltoallv would bypass fault injection and the reliable channel
   // entirely), so the channel's envelope checks and dedups them.
   const auto n = send.size();
@@ -196,8 +196,7 @@ std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_
     w.put_span(std::span<const value_t>(send[d]));
     raw[d] = w.take();
   }
-  auto ticket = comm_->ialltoallv(std::move(raw));
-  const auto got = comm_->wait(ticket);
+  const auto got = comm_->alltoallv_mailbox(std::move(raw));
   std::size_t total = 0;
   for (const auto& b : got) total += b.size() / sizeof(value_t);
   std::vector<value_t> flat;

@@ -223,7 +223,7 @@ class ServingEngine {
   void classify_and_validate();
 
   /// Route `send[dest]` flat rows and return the received rows, flattened.
-  /// Rides the faultable split-phase exchange, so serving's mutation
+  /// Rides the faultable mailbox exchange, so serving's mutation
   /// traffic heals under the reliable channel (or, detect-only, a corrupt
   /// frame surfaces as a typed FrameDecodeError, never silent garbage).
   std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send);

@@ -337,7 +337,7 @@ bool Comm::fault_reset(double timeout_seconds) {
   // below guarantees every rank does this before any new traffic.  The
   // epoch counter is deliberately NOT reset: one-shot epoch faults
   // (kill/stall) must not re-fire on the replayed work.
-  ialltoallv_seq_ = 0;
+  mailbox_a2a_seq_ = 0;
   bruck_seq_ = 0;
   sched_seq_ = 0;
   return world_->fault_reset(timeout_seconds);
@@ -353,7 +353,7 @@ Bytes Comm::recv(int src, int tag, int* out_src, int* out_tag) {
   // cumulative ack advancing or a fresh frame landing — re-arms the
   // watchdog, so a wait that is slow *because it is healing* does not time
   // out while a dead peer still does.  A detect-only channel never reports
-  // progress: its deadline stays fixed.  Ticket::wait rides this path too.
+  // progress: its deadline stays fixed.  alltoallv_mailbox rides this path too.
   auto& box = world_->mailboxes_[static_cast<std::size_t>(rank_)];
   const double deadline = world_->watchdog_seconds_;
   const double t0 = wall_now();
@@ -466,14 +466,14 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
     out.push_back(std::move(mine));
     return out;
   }
-  const CollectiveSchedule sched = world_->schedule_;
-  const bool pow2 = (n & (n - 1)) == 0;
-  if (sched == CollectiveSchedule::kLinear) return exchange_slots(std::move(mine), op);
+  if (world_->schedule_ == CollectiveSchedule::kLinear) {
+    return exchange_slots(std::move(mine), op);
+  }
 
   // Log-step schedules run real point-to-point rounds over the mailboxes.
   // Byte accounting is payload-only (the src/len relay envelope is the
-  // simulation's encoding, not modelled traffic): recursive doubling and
-  // swing ship 1 + 2 + ... + n/2 = n-1 blocks per rank, and dissemination
+  // simulation's encoding, not modelled traffic): recursive doubling
+  // ships 1 + 2 + ... + n/2 = n-1 blocks per rank, and dissemination
   // truncates its last step to n - 2^floor(log2 n) blocks — so every
   // schedule moves exactly n-1 blocks per rank and the remote byte totals
   // match the linear baseline bit for bit.  Stats are recorded manually
@@ -545,25 +545,12 @@ std::vector<Bytes> Comm::gather_blocks(Bytes mine, Op op) {
       return srcs;
     };
 
-    if (pow2 && sched == CollectiveSchedule::kRecursiveDoubling) {
+    if ((n & (n - 1)) == 0) {
+      // Recursive doubling: partner rank ^ 2^k at step k.
       for (int k = 0; (1 << k) < n; ++k) {
         const int partner = rank_ ^ (1 << k);
         send_blocks(partner, held());
         recv_blocks(partner);
-        ++rounds;
-      }
-    } else if (pow2 && sched == CollectiveSchedule::kSwing) {
-      // Signed partner distance rho(k) = (1-(-2)^(k+1))/3 = 1,-1,3,-5,...
-      // (rho(k+1) = 1 - 2*rho(k)); even ranks step +rho, odd ranks -rho.
-      // Early steps pair nearby ranks, so under a grouped topology most
-      // blocks move on intra-node links before the long hops.
-      int rho = 1;
-      for (int k = 0; (1 << k) < n; ++k) {
-        const int step = (rank_ % 2 == 0) ? rho : -rho;
-        const int partner = ((rank_ + step) % n + n) % n;
-        send_blocks(partner, held());
-        recv_blocks(partner);
-        rho = 1 - 2 * rho;
         ++rounds;
       }
     } else {
@@ -634,19 +621,22 @@ std::vector<Bytes> Comm::gatherv(int root, std::span<const std::byte> mine) {
   return all;
 }
 
+void Comm::account_alltoallv(const std::vector<Bytes>& send) {
+  if (!stats_enabled_) return;
+  auto& st = stats();
+  st.record_call(Op::kAlltoallv);
+  for (std::size_t d = 0; d < send.size(); ++d) {
+    const bool remote = d != static_cast<std::size_t>(rank_);
+    st.record_send(Op::kAlltoallv, send[d].size(), remote,
+                   remote && !world_->topo_.same_node(rank_, static_cast<int>(d)));
+  }
+  st.record_steps(Op::kAlltoallv, 1);  // one personalised exchange phase
+}
+
 std::vector<Bytes> Comm::alltoallv(std::vector<Bytes> send) {
   const auto n = static_cast<std::size_t>(size());
   assert(send.size() == n && "alltoallv send vector must have one buffer per rank");
-  if (stats_enabled_) {
-    auto& st = stats();
-    st.record_call(Op::kAlltoallv);
-    for (std::size_t d = 0; d < n; ++d) {
-      const bool remote = d != static_cast<std::size_t>(rank_);
-      st.record_send(Op::kAlltoallv, send[d].size(), remote,
-                     remote && !world_->topo_.same_node(rank_, static_cast<int>(d)));
-    }
-    st.record_steps(Op::kAlltoallv, 1);  // one dense matrix phase
-  }
+  account_alltoallv(send);
 
   const auto me = static_cast<std::size_t>(rank_);
   for (std::size_t d = 0; d < n; ++d) {
@@ -661,89 +651,43 @@ std::vector<Bytes> Comm::alltoallv(std::vector<Bytes> send) {
   return got;
 }
 
-Comm::Ticket Comm::ialltoallv(std::vector<Bytes> send) {
+std::vector<Bytes> Comm::alltoallv_mailbox(std::vector<Bytes> send) {
   const auto n = static_cast<std::size_t>(size());
   const auto me = static_cast<std::size_t>(rank_);
-  assert(send.size() == n && "ialltoallv send vector must have one buffer per rank");
-  if (stats_enabled_) {
-    auto& st = stats();
-    st.record_call(Op::kAlltoallv);
-    for (std::size_t d = 0; d < n; ++d) {
-      const bool remote = d != me;
-      st.record_send(Op::kAlltoallv, send[d].size(), remote,
-                     remote && !world_->topo_.same_node(rank_, static_cast<int>(d)));
-    }
-    st.record_steps(Op::kAlltoallv, 1);
-    st.tickets_posted += 1;
-  }
+  assert(send.size() == n && "alltoallv_mailbox send vector must have one buffer per rank");
+  account_alltoallv(send);
+  const int tag =
+      kMailboxA2ATagBase + static_cast<int>(mailbox_a2a_seq_++ % kMailboxA2ATagWindow);
 
-  Ticket t;
-  t.active_ = true;
-  t.tag_ = kIalltoallvTagBase + static_cast<int>(ialltoallv_seq_++ % kIalltoallvTagWindow);
-  t.received_.resize(n);
-  t.arrived_.assign(n, 0);
-  t.received_[me] = std::move(send[me]);
-  t.arrived_[me] = 1;
-  t.remaining_ = n - 1;
-
-  // The frames ride the mailboxes; their bytes are already accounted under
-  // Op::kAlltoallv above, so the internal p2p must not double-count.
-  StatsPause pause(*this);
-  for (std::size_t d = 0; d < n; ++d) {
-    if (d == me) continue;
-    isend(static_cast<int>(d), t.tag_, send[d]);
-  }
-  return t;
-}
-
-void Comm::ticket_deliver(Ticket& ticket, int src, Bytes payload) {
-  auto& slot = ticket.arrived_[static_cast<std::size_t>(src)];
-  if (slot != 0) {
-    // The reliable channel's sequence window already dropped every wire
-    // duplicate, so a second frame is a broken exchange, not a dup.
-    throw FrameDecodeError("vmpi: ialltoallv ticket received two frames from rank " +
-                           std::to_string(src));
-  }
-  slot = 1;
-  ticket.received_[static_cast<std::size_t>(src)] = std::move(payload);
-  --ticket.remaining_;
-}
-
-std::vector<Bytes> Comm::wait(Ticket& ticket) {
-  if (!ticket.active_) {
-    throw std::logic_error("vmpi: wait() on an inactive ialltoallv ticket "
-                           "(already waited, or never posted)");
-  }
-  const double t0 = wall_now();
+  std::vector<Bytes> got(n);
+  std::vector<std::uint8_t> arrived(n, 0);
+  got[me] = std::move(send[me]);
+  arrived[me] = 1;
+  double t0 = 0;
   {
+    // The frames ride the mailboxes; their bytes are already accounted
+    // under Op::kAlltoallv above, so the internal p2p must not double-count.
     StatsPause pause(*this);
-    while (ticket.remaining_ > 0) {
+    for (std::size_t d = 0; d < n; ++d) {
+      if (d != me) isend(static_cast<int>(d), tag, send[d]);
+    }
+    t0 = wall_now();
+    for (std::size_t k = 1; k < n; ++k) {
       int src = 0;
-      Bytes payload = recv(kAnySource, ticket.tag_, &src);
-      ticket_deliver(ticket, src, std::move(payload));
+      Bytes payload = recv(kAnySource, tag, &src);
+      auto& slot = arrived[static_cast<std::size_t>(src)];
+      if (slot != 0) {
+        // The reliable channel's sequence window already dropped every wire
+        // duplicate, so a second frame is a broken exchange, not a dup.
+        throw FrameDecodeError("vmpi: mailbox alltoallv received two frames from rank " +
+                               std::to_string(src));
+      }
+      slot = 1;
+      got[static_cast<std::size_t>(src)] = std::move(payload);
     }
   }
-  if (stats_enabled_) {
-    auto& st = stats();
-    st.wait_seconds += wall_now() - t0;
-    st.tickets_completed += 1;
-  }
-  ticket.active_ = false;
-  return std::move(ticket.received_);
-}
-
-bool Comm::test(Ticket& ticket) {
-  if (!ticket.active_) {
-    throw std::logic_error("vmpi: test() on an inactive ialltoallv ticket "
-                           "(already waited, or never posted)");
-  }
-  StatsPause pause(*this);
-  while (iprobe(kAnySource, ticket.tag_)) {
-    int src = 0;
-    Bytes payload = recv(kAnySource, ticket.tag_, &src);
-    ticket_deliver(ticket, src, std::move(payload));
-  }
-  return ticket.remaining_ == 0;
+  if (stats_enabled_) stats().wait_seconds += wall_now() - t0;
+  return got;
 }
 
 std::vector<Bytes> Comm::alltoallv_bruck(std::vector<Bytes> send) {

@@ -253,7 +253,7 @@ class World {
   bool fault_reset(double timeout_seconds);
 
   /// Deadline (seconds) for every blocking wait: barrier / collective
-  /// rendezvous, recv, ticket wait.  0 disables the watchdog (the
+  /// rendezvous, recv, mailbox exchange.  0 disables the watchdog (the
   /// default — fault-free runs must not pay spurious wakeups).
   void set_watchdog(double seconds) { watchdog_seconds_ = seconds; }
   [[nodiscard]] double watchdog_seconds() const { return watchdog_seconds_; }
@@ -439,52 +439,17 @@ class Comm {
   /// primitive.
   std::vector<Bytes> alltoallv(std::vector<Bytes> send);
 
-  /// In-flight handle for a nonblocking personalised exchange posted by
-  /// ialltoallv.  Move-only; complete it exactly once via wait() (test()
-  /// may be polled first to make progress without blocking).  wait() or
-  /// test() on a ticket already consumed by wait() — or never posted —
-  /// throws std::logic_error deterministically, in Release builds too.
-  class Ticket {
-   public:
-    Ticket() = default;
-    Ticket(Ticket&&) = default;
-    Ticket& operator=(Ticket&&) = default;
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-    /// True between the posting ialltoallv() and the wait() that consumed it.
-    [[nodiscard]] bool active() const { return active_; }
-
-   private:
-    friend class Comm;
-    bool active_ = false;
-    int tag_ = 0;
-    std::size_t remaining_ = 0;            // peers whose buffer has not arrived
-    std::vector<Bytes> received_;          // indexed by source rank
-    std::vector<std::uint8_t> arrived_;    // per-source arrival flag
-  };
-
-  /// Nonblocking personalised exchange (MPI_Ialltoallv): posts send[d]
-  /// toward rank d and returns immediately.  Collective in posting order —
-  /// every rank's k-th post pairs with every other rank's k-th post — but
-  /// there is no rendezvous: a rank completes its ticket as soon as all
-  /// peers have *posted*, never waiting for them to complete.  This is the
-  /// primitive behind the router's split-phase flush: the caller overlaps
-  /// local work between the post and the wait.  Bytes are accounted under
-  /// Op::kAlltoallv at post time (one exchange round), exactly like the
-  /// blocking variants.
-  Ticket ialltoallv(std::vector<Bytes> send);
-
-  /// Block until every peer's buffer arrived; returns recv[s] indexed by
-  /// source rank (the self-destined buffer included).  Time parked here is
-  /// charged to CommStats::wait_seconds — the *exposed* (un-overlapped)
-  /// share of the exchange.  The ticket becomes inactive.
-  std::vector<Bytes> wait(Ticket& ticket);
-
-  /// Nonblocking progress: absorbs whatever already arrived and returns
-  /// true once the exchange is complete (a subsequent wait() will not
-  /// block).
-  bool test(Ticket& ticket);
+  /// Same contract as alltoallv, carried over the mailboxes instead of the
+  /// slot matrix: send[d] rides a faultable isend toward rank d (so the
+  /// reliable channel envelopes it), and the call blocks until one frame
+  /// from every peer arrived.  Frames are matched by a per-call tag from a
+  /// rotating window, so back-to-back calls never cross-match; a second
+  /// frame from one source throws FrameDecodeError.  Accounting matches
+  /// alltoallv exactly — one Op::kAlltoallv call and one step, bytes under
+  /// kAlltoallv, none counted as p2p — plus the parked time in
+  /// wait_seconds.  The exchange for traffic that must stay inside the
+  /// fault model (serving mutations, the hierarchical leaders' exchange).
+  std::vector<Bytes> alltoallv_mailbox(std::vector<Bytes> send);
 
   /// Same contract as alltoallv, routed through ceil(log2 n) point-to-point
   /// rounds (the Bruck algorithm the PARALAGG authors optimise in their
@@ -601,7 +566,7 @@ class Comm {
 
   /// Block allgather under the World's CollectiveSchedule: every rank
   /// contributes one block and receives all n, indexed by rank.  kLinear
-  /// routes through exchange_slots; recursive doubling / swing run real
+  /// routes through exchange_slots; recursive doubling runs real
   /// log-step point-to-point rounds over the mailboxes (dissemination for
   /// non-power-of-two rank counts).  Accounting is payload-only — every
   /// schedule ships exactly n-1 blocks per rank, so remote byte totals
@@ -609,6 +574,11 @@ class Comm {
   /// relay legs model MPI's reliable transport underneath collectives:
   /// they bypass fault injection (fault.hpp's scope note).
   std::vector<Bytes> gather_blocks(Bytes mine, Op op);
+
+  /// Record one personalised exchange of `send` under Op::kAlltoallv: one
+  /// call, one step, each buffer locality-classified by destination.
+  /// No-op under StatsPause.
+  void account_alltoallv(const std::vector<Bytes>& send);
 
   /// Direct mailbox enqueue: no fault injection, no stats — the reliable
   /// substrate the scheduled collectives relay over.
@@ -618,11 +588,6 @@ class Comm {
   /// bounded by the world's watchdog; held (delayed) sends are released
   /// first.  Internal wake sentinels become TimeoutError here.
   void timed_barrier_wait();
-
-  /// Move one arrived ialltoallv message into its ticket slot.  A second
-  /// frame from one source throws FrameDecodeError: wire duplicates never
-  /// get this far (the reliable channel's sequence window drops them).
-  void ticket_deliver(Ticket& ticket, int src, Bytes payload);
 
   /// Enqueue an enveloped frame for `dst` under the installed FaultPlan:
   /// may drop, duplicate, corrupt, or hold it back, and releases held
@@ -641,12 +606,12 @@ class Comm {
   /// slices, iprobe, isend, and epoch boundaries; no-op without a channel.
   void service_reliable();
 
-  // Dedicated tag space for ialltoallv frames, disjoint from the Bruck
-  // relay (0x42......) and the async engine's tags.  The per-Comm sequence
-  // counter advances in SPMD order, so concurrent in-flight exchanges
-  // cannot cross-match as long as fewer than the window are outstanding.
-  static constexpr int kIalltoallvTagBase = 0x41A20000;
-  static constexpr std::uint64_t kIalltoallvTagWindow = 4096;
+  // Dedicated tag space for alltoallv_mailbox frames, disjoint from the
+  // Bruck relay (0x42......) and the async engine's tags.  The per-Comm
+  // sequence counter advances in SPMD order, so a duplicated or delayed
+  // frame from one call can never match a later call's receive.
+  static constexpr int kMailboxA2ATagBase = 0x41A20000;
+  static constexpr std::uint64_t kMailboxA2ATagWindow = 4096;
 
   // Bruck relay tags rotate with a per-call sequence so a duplicated or
   // delayed relay frame from one call can never match a later call's
@@ -656,8 +621,8 @@ class Comm {
   static constexpr std::uint64_t kBruckTagWindow = 1024;
   static constexpr int kBruckRoundsPerCall = 64;  // log2(nranks) bound
 
-  // Scheduled-collective relay tags (recursive doubling / swing /
-  // dissemination rounds), disjoint from the ialltoallv (0x41A2....),
+  // Scheduled-collective relay tags (recursive doubling / dissemination
+  // rounds), disjoint from the mailbox alltoallv (0x41A2....),
   // Bruck (0x42......), async (0x51A5..../0x53AF....), and hierarchical
   // router (0x48A.....) spaces.  Rotated per call like the Bruck tags.
   static constexpr int kSchedTagBase = 0x44000000;
@@ -680,7 +645,7 @@ class Comm {
   int rank_;
   bool stats_enabled_ = true;
   std::uint64_t split_epoch_ = 0;
-  std::uint64_t ialltoallv_seq_ = 0;
+  std::uint64_t mailbox_a2a_seq_ = 0;
   std::uint64_t bruck_seq_ = 0;
   std::uint64_t sched_seq_ = 0;
   std::uint64_t epoch_ = 0;

@@ -8,7 +8,6 @@ const char* schedule_name(CollectiveSchedule s) {
   switch (s) {
     case CollectiveSchedule::kLinear: return "linear";
     case CollectiveSchedule::kRecursiveDoubling: return "rd";
-    case CollectiveSchedule::kSwing: return "swing";
   }
   return "?";
 }
@@ -18,9 +17,8 @@ CollectiveSchedule parse_schedule(const std::string& name) {
   if (name == "rd" || name == "recursive-doubling") {
     return CollectiveSchedule::kRecursiveDoubling;
   }
-  if (name == "swing") return CollectiveSchedule::kSwing;
   throw std::invalid_argument("unknown collective schedule '" + name +
-                              "' (expected linear | rd | swing)");
+                              "' (expected linear | rd | recursive-doubling)");
 }
 
 std::vector<int> Topology::node_members(int rank, int nranks) const {

@@ -43,16 +43,11 @@ enum class CollectiveSchedule : std::uint8_t {
   /// Non-power-of-two rank counts fall back to the dissemination (Bruck)
   /// schedule, same step count.  The default.
   kRecursiveDoubling,
-  /// Swing: partner at signed distance rho(k) = (1-(-2)^(k+1))/3, so most
-  /// steps pair nearby ranks — fewer cross-node hops than recursive
-  /// doubling under a grouped topology, same ceil(log2 n) steps.  Falls
-  /// back to dissemination for non-power-of-two rank counts.
-  kSwing,
 };
 
 [[nodiscard]] const char* schedule_name(CollectiveSchedule s);
 
-/// Parse "linear" | "rd" | "swing"; throws std::invalid_argument otherwise.
+/// Parse "linear" | "rd" | "recursive-doubling"; throws std::invalid_argument otherwise.
 [[nodiscard]] CollectiveSchedule parse_schedule(const std::string& name);
 
 /// Rank-to-node grouping plus the modelled relative cost of crossing the

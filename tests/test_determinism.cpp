@@ -167,17 +167,15 @@ TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
        core::ExchangeAlgorithm::kDense, 0},
       {"rd/flat/dense", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
        core::ExchangeAlgorithm::kDense, 0},
-      {"swing/flat/dense", vmpi::CollectiveSchedule::kSwing, 0,
-       core::ExchangeAlgorithm::kDense, 0},
       {"rd/flat/bruck", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
        core::ExchangeAlgorithm::kBruck, 0},
       {"rd/2x4/hier", vmpi::CollectiveSchedule::kRecursiveDoubling, 2,
        core::ExchangeAlgorithm::kHierarchical, 0},
-      {"swing/4x2/hier", vmpi::CollectiveSchedule::kSwing, 4,
+      {"rd/4x2/hier", vmpi::CollectiveSchedule::kRecursiveDoubling, 4,
        core::ExchangeAlgorithm::kHierarchical, 0},
       {"rd/flat/dense+skew", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
        core::ExchangeAlgorithm::kDense, 16},
-      {"swing/4x2/hier+skew", vmpi::CollectiveSchedule::kSwing, 4,
+      {"rd/4x2/hier+skew", vmpi::CollectiveSchedule::kRecursiveDoubling, 4,
        core::ExchangeAlgorithm::kHierarchical, 16},
   };
 

@@ -229,27 +229,27 @@ TEST(FaultSweep, DropDupReorderAcrossQueriesAndRankCounts) {
 }
 
 TEST(FaultSweep, CorruptFramesRaiseTypedDecodeErrorOnSealedPath) {
-  // overlap_flush routes the router's tuple frames over ialltoallv — the
-  // mailbox (faultable) path — and every such frame rides the reliable
-  // envelope, so a flipped byte must surface as FrameDecodeError, never as
-  // a silently wrong fixpoint.  Retry is pinned off: the detect-only
-  // channel must abort on the CRC failure instead of healing it.
+  // The hierarchical exchange routes the router's tuple frames over the
+  // mailbox (faultable) path — intra-node legs and the leaders' mailbox
+  // alltoallv — and every such frame rides the reliable envelope, so a
+  // flipped byte must surface as FrameDecodeError, never as a silently
+  // wrong fixpoint.  Retry is pinned off: the detect-only channel must
+  // abort on the CRC failure instead of healing it.
   const auto g = sweep_graph();
-  const auto clean = run_leg(Query::kSssp, 4, vmpi::RunOptions{}, g,
-                             [](queries::QueryTuning& t) {
-                               t.engine.exchange = core::ExchangeAlgorithm::kDense;
-                               t.engine.overlap_flush = true;
-                             });
+  const auto hier = [](queries::QueryTuning& t) {
+    t.engine.exchange = core::ExchangeAlgorithm::kHierarchical;
+  };
+  vmpi::RunOptions base;
+  base.topology = vmpi::Topology::grouped(4, 2);
+  const auto clean = run_leg(Query::kSssp, 4, base, g, hier);
   ASSERT_FALSE(clean.any_aborted());
 
   auto options = detect_only_options();
+  options.topology = base.topology;
   options.fault.seed = 44;
   options.fault.corrupt_prob = 0.05;
   options.watchdog_seconds = kWatchdog;
-  const auto leg = run_leg(Query::kSssp, 4, options, g, [](queries::QueryTuning& t) {
-    t.engine.exchange = core::ExchangeAlgorithm::kDense;
-    t.engine.overlap_flush = true;
-  });
+  const auto leg = run_leg(Query::kSssp, 4, options, g, hier);
   expect_unanimous(leg);
   if (leg.all_aborted()) {
     EXPECT_FALSE(leg.fault_what[0].empty());
@@ -308,8 +308,8 @@ TEST(FaultSweep, BruckRelayHealsCorruptAndDropInjection) {
 
 TEST(FaultSweep, HierarchicalExchangeHealsCorruptAndDropInjection) {
   // The two-level exchange moves tuples over three legs — member->leader
-  // up-frames, the leaders-only ialltoallv, and leader->member down-frames
-  // — all on the faultable mailbox path, so all three legs
+  // up-frames, the leaders-only mailbox alltoallv, and leader->member
+  // down-frames — all on the faultable mailbox path, so all three legs
   // ride the reliable channel: a drop retransmits after backoff, a corrupt
   // byte is NACKed and resent, and the fixpoint stays bit-identical.  With
   // retry disabled a drop starves a blocking receive into the fail-stop

@@ -6,7 +6,7 @@
 // are schedule-invariant (only steps and the intra/cross locality split
 // may move); (3) the hierarchical router reaches the bit-identical staged
 // state of the dense exchange while shipping strictly fewer cross-node
-// bytes, with the split-phase and ragged-node edge cases intact.
+// bytes, with the successive-flush and ragged-node edge cases intact.
 
 #include "vmpi/topology.hpp"
 
@@ -109,10 +109,9 @@ TEST(Topology, ParseScheduleNamesRoundTrip) {
   EXPECT_EQ(vmpi::parse_schedule("rd"), CollectiveSchedule::kRecursiveDoubling);
   EXPECT_EQ(vmpi::parse_schedule("recursive-doubling"),
             CollectiveSchedule::kRecursiveDoubling);
-  EXPECT_EQ(vmpi::parse_schedule("swing"), CollectiveSchedule::kSwing);
   EXPECT_THROW((void)vmpi::parse_schedule("hypercube"), std::invalid_argument);
-  for (const auto s : {CollectiveSchedule::kLinear, CollectiveSchedule::kRecursiveDoubling,
-                       CollectiveSchedule::kSwing}) {
+  EXPECT_THROW((void)vmpi::parse_schedule("swing"), std::invalid_argument);
+  for (const auto s : {CollectiveSchedule::kLinear, CollectiveSchedule::kRecursiveDoubling}) {
     EXPECT_EQ(vmpi::parse_schedule(vmpi::schedule_name(s)), s);
   }
 }
@@ -129,13 +128,12 @@ vmpi::RunOptions with_schedule(CollectiveSchedule s, Topology topo = Topology{})
 }
 
 TEST(Schedules, CollectivesIdenticalAcrossSchedulesAndSizes) {
-  // Power-of-two sizes exercise recursive doubling and swing; the rest
+  // Power-of-two sizes exercise recursive doubling; the rest
   // exercise the capped dissemination fallback.  The reduction order is
   // contractually rank order, so every schedule must agree bit for bit.
   for (const int n : {2, 3, 4, 5, 6, 7, 8, 9, 16}) {
-    for (const auto sched : {CollectiveSchedule::kLinear,
-                             CollectiveSchedule::kRecursiveDoubling,
-                             CollectiveSchedule::kSwing}) {
+    for (const auto sched :
+         {CollectiveSchedule::kLinear, CollectiveSchedule::kRecursiveDoubling}) {
       SCOPED_TRACE(std::string(vmpi::schedule_name(sched)) + " n=" + std::to_string(n));
       vmpi::run(n, with_schedule(sched), [&](Comm& comm) {
         const auto r = static_cast<std::uint64_t>(comm.rank());
@@ -156,12 +154,11 @@ TEST(Schedules, CollectivesIdenticalAcrossSchedulesAndSizes) {
 
 TEST(Schedules, PayloadByteTotalsAreScheduleInvariant) {
   // Every schedule ships exactly n-1 blocks per rank (recursive doubling
-  // and swing by the power-of-two doubling argument, dissemination by the
+  // by the power-of-two doubling argument, dissemination by the
   // send-count cap), so the accounted remote bytes must not move at all.
   for (const int n : {3, 8}) {
-    for (const auto sched : {CollectiveSchedule::kLinear,
-                             CollectiveSchedule::kRecursiveDoubling,
-                             CollectiveSchedule::kSwing}) {
+    for (const auto sched :
+         {CollectiveSchedule::kLinear, CollectiveSchedule::kRecursiveDoubling}) {
       SCOPED_TRACE(std::string(vmpi::schedule_name(sched)) + " n=" + std::to_string(n));
       std::vector<CommStats> per_rank;
       vmpi::run_collect(
@@ -189,7 +186,6 @@ TEST(Schedules, LogStepSchedulesRecordLogarithmicSteps) {
   const Expect expectations[] = {
       {CollectiveSchedule::kLinear, 7},
       {CollectiveSchedule::kRecursiveDoubling, 3},
-      {CollectiveSchedule::kSwing, 3},
   };
   for (const auto& e : expectations) {
     SCOPED_TRACE(vmpi::schedule_name(e.sched));
@@ -364,8 +360,6 @@ TEST(HierarchicalExchange, MatchesDenseFixpointWithFewerCrossNodeBytes) {
     // the up/down legs show up as the two extra schedule steps.
     EXPECT_EQ(st.calls_of(Op::kAlltoallv), 1u);
     EXPECT_EQ(st.steps_of(Op::kAlltoallv), 3u);
-    EXPECT_EQ(st.tickets_posted, 1u);
-    EXPECT_EQ(st.tickets_completed, 1u);
   }
 }
 
@@ -399,7 +393,7 @@ TEST(HierarchicalExchange, FlatTopologyDegradesToDense) {
   }
 }
 
-TEST(HierarchicalExchange, SplitPhasePostCompleteKeepsEmitsFlowing) {
+TEST(HierarchicalExchange, SuccessiveFlushesStageEachBatchOnce) {
   const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
                                      Topology::grouped(4, 2));
   vmpi::run(4, options, [&](Comm& comm) {
@@ -410,24 +404,21 @@ TEST(HierarchicalExchange, SplitPhasePostCompleteKeepsEmitsFlowing) {
     const value_t theirs = key_owned_by(rel, (comm.rank() + 1) % comm.size());
 
     router.emit(id, Tuple{theirs, 1, 1}.view());
-    router.post(profile, ExchangeAlgorithm::kHierarchical);
-    EXPECT_TRUE(router.in_flight());
-
-    // Rows emitted while the two-level exchange is in flight land in the
-    // other generation and ride the next flush untouched.
-    router.emit(id, Tuple{theirs, 2, 2}.view());
-    const auto st1 = router.complete(profile);
+    const auto st1 = router.flush(profile, ExchangeAlgorithm::kHierarchical);
     EXPECT_EQ(st1.rows_staged, 1u);
-    EXPECT_EQ(router.pending_rows(), 1u);
+    EXPECT_EQ(router.pending_rows(), 0u);
 
-    router.post(profile, ExchangeAlgorithm::kHierarchical);
-    const auto st2 = router.complete(profile);
+    // A row emitted after the first flush rides the second one alone: the
+    // per-flush tag and sequence word keep the two flushes' legs apart.
+    router.emit(id, Tuple{theirs, 2, 2}.view());
+    EXPECT_EQ(router.pending_rows(), 1u);
+    const auto st2 = router.flush(profile, ExchangeAlgorithm::kHierarchical);
     EXPECT_EQ(st2.rows_staged, 1u);
 
     rel.materialize();
     EXPECT_EQ(rel.global_size(core::Version::kFull), 8u);
-    EXPECT_EQ(comm.stats().tickets_posted, 2u);
-    EXPECT_EQ(comm.stats().tickets_completed, 2u);
+    EXPECT_EQ(comm.stats().calls_of(Op::kAlltoallv), 2u);
+    EXPECT_EQ(comm.stats().steps_of(Op::kAlltoallv), 6u);
   });
 }
 

@@ -523,7 +523,7 @@ TEST(Bruck, BackToBackCallsDoNotCrossMatch) {
   });
 }
 
-TEST(Ialltoallv, MatchesDenseAlltoallv) {
+TEST(MailboxAlltoallv, MatchesDenseAlltoallv) {
   for (const int ranks : {1, 2, 3, 5, 8, 13}) {
     run(ranks, [&](Comm& comm) {
       const int n = comm.size();
@@ -540,38 +540,17 @@ TEST(Ialltoallv, MatchesDenseAlltoallv) {
         send2[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)];
       }
       const auto dense = comm.alltoallv(std::move(send));
-      auto ticket = comm.ialltoallv(std::move(send2));
-      EXPECT_TRUE(ticket.active());
-      const auto split = comm.wait(ticket);
-      EXPECT_FALSE(ticket.active());
-      ASSERT_EQ(split.size(), dense.size());
+      const auto mailbox = comm.alltoallv_mailbox(std::move(send2));
+      ASSERT_EQ(mailbox.size(), dense.size());
       for (int s = 0; s < n; ++s) {
-        EXPECT_EQ(split[static_cast<std::size_t>(s)], dense[static_cast<std::size_t>(s)])
+        EXPECT_EQ(mailbox[static_cast<std::size_t>(s)], dense[static_cast<std::size_t>(s)])
             << "ranks=" << ranks << " from=" << s;
       }
     });
   }
 }
 
-TEST(Ialltoallv, TestMakesProgressWithoutBlocking) {
-  run(2, [&](Comm& comm) {
-    std::vector<Bytes> send(2);
-    BufferWriter w;
-    w.put<std::uint64_t>(static_cast<std::uint64_t>(comm.rank() + 1));
-    send[static_cast<std::size_t>(1 - comm.rank())] = w.take();
-    auto ticket = comm.ialltoallv(std::move(send));
-    // Both posts have happened once the barrier releases, so test() must
-    // drain the exchange to completion in finitely many polls.
-    comm.barrier();
-    while (!comm.test(ticket)) {
-    }
-    const auto got = comm.wait(ticket);
-    BufferReader r(got[static_cast<std::size_t>(1 - comm.rank())]);
-    EXPECT_EQ(r.get<std::uint64_t>(), static_cast<std::uint64_t>(2 - comm.rank()));
-  });
-}
-
-TEST(Ialltoallv, TwoOutstandingTicketsDoNotCrossMatch) {
+TEST(MailboxAlltoallv, BackToBackCallsDoNotCrossMatch) {
   run(3, [&](Comm& comm) {
     const auto n = static_cast<std::size_t>(comm.size());
     auto make_send = [&](std::uint64_t wave) {
@@ -583,12 +562,10 @@ TEST(Ialltoallv, TwoOutstandingTicketsDoNotCrossMatch) {
       }
       return send;
     };
-    // Post wave 1 then wave 2, complete them in reverse order: the per-post
-    // tag sequence must keep the frames apart.
-    auto first = comm.ialltoallv(make_send(1));
-    auto second = comm.ialltoallv(make_send(2));
-    const auto got2 = comm.wait(second);
-    const auto got1 = comm.wait(first);
+    // A fast rank's wave-2 frames can be queued before a slow peer drained
+    // wave 1: the per-call tag sequence must keep the two calls apart.
+    const auto got1 = comm.alltoallv_mailbox(make_send(1));
+    const auto got2 = comm.alltoallv_mailbox(make_send(2));
     for (std::size_t s = 0; s < n; ++s) {
       EXPECT_EQ(BufferReader(got1[s]).get<std::uint64_t>(), 1000u + s);
       EXPECT_EQ(BufferReader(got2[s]).get<std::uint64_t>(), 2000u + s);
@@ -596,7 +573,7 @@ TEST(Ialltoallv, TwoOutstandingTicketsDoNotCrossMatch) {
   });
 }
 
-TEST(Ialltoallv, StatsAttributeToAlltoallvNotP2P) {
+TEST(MailboxAlltoallv, StatsAttributeToAlltoallvNotP2P) {
   std::vector<CommStats> per_rank;
   run_collect(
       4,
@@ -608,8 +585,7 @@ TEST(Ialltoallv, StatsAttributeToAlltoallvNotP2P) {
           w.put<std::uint64_t>(2);
           send[static_cast<std::size_t>(d)] = w.take();
         }
-        auto ticket = comm.ialltoallv(std::move(send));
-        (void)comm.wait(ticket);
+        (void)comm.alltoallv_mailbox(std::move(send));
       },
       per_rank);
   for (const auto& st : per_rank) {
@@ -618,11 +594,10 @@ TEST(Ialltoallv, StatsAttributeToAlltoallvNotP2P) {
     EXPECT_EQ(st.remote_bytes(Op::kAlltoallv), 3u * 16u);
     EXPECT_EQ(st.bytes_local[static_cast<std::size_t>(Op::kAlltoallv)], 16u);
     EXPECT_EQ(st.calls_of(Op::kAlltoallv), 1u);
+    EXPECT_EQ(st.steps_of(Op::kAlltoallv), 1u);
     EXPECT_EQ(st.remote_bytes(Op::kP2P), 0u);
     EXPECT_EQ(st.messages_sent, 0u);
     EXPECT_EQ(st.messages_received, 0u);
-    EXPECT_EQ(st.tickets_posted, 1u);
-    EXPECT_EQ(st.tickets_completed, 1u);
   }
 }
 
@@ -673,28 +648,35 @@ TEST(ManyRanks, CollectivesScaleTo64Threads) {
   });
 }
 
-TEST(Ialltoallv, WaitOnInactiveTicketThrowsDeterministically) {
+TEST(MailboxAlltoallv, SecondFrameFromOneSourceIsTypedDecodeError) {
+  // Rank 1 queues two stray frames on the first call's tag (the base of the
+  // mailbox-alltoallv tag space) ahead of the exchange.  Rank 0 then sees
+  // rank 1 twice before rank 2 — a broken exchange, which must surface as
+  // FrameDecodeError, never as rank 1's bytes standing in for rank 2's.
+  constexpr int kFirstCallTag = 0x41A20000;
   run(3, [&](Comm& comm) {
+    if (comm.rank() == 1) {
+      const Bytes stray(8, std::byte{0x5A});
+      comm.isend(0, kFirstCallTag, stray);
+      comm.isend(0, kFirstCallTag, stray);
+    }
+    comm.barrier();  // both strays are queued before anyone exchanges
     std::vector<Bytes> send(static_cast<std::size_t>(comm.size()));
-    BufferWriter w;
-    w.put<std::uint64_t>(7);
-    send[static_cast<std::size_t>((comm.rank() + 1) % comm.size())] = w.take();
-    auto ticket = comm.ialltoallv(std::move(send));
-    (void)comm.wait(ticket);
-    EXPECT_FALSE(ticket.active());
-    // A consumed ticket is a programming error, not a hang and not UB.
-    EXPECT_THROW((void)comm.wait(ticket), std::logic_error);
-    EXPECT_THROW((void)comm.test(ticket), std::logic_error);
+    if (comm.rank() == 0) {
+      EXPECT_THROW((void)comm.alltoallv_mailbox(std::move(send)), FrameDecodeError);
+    } else {
+      // Ranks 1 and 2 still get one frame from every peer.
+      const auto got = comm.alltoallv_mailbox(std::move(send));
+      for (const auto& b : got) EXPECT_TRUE(b.empty());
+    }
   });
 }
 
-TEST(Ialltoallv, AllEmptySendsCompleteWithoutTraffic) {
+TEST(MailboxAlltoallv, AllEmptySendsCompleteWithoutTraffic) {
   for (const int ranks : {1, 2, 5}) {
     run(ranks, [&](Comm& comm) {
       std::vector<Bytes> send(static_cast<std::size_t>(comm.size()));
-      auto ticket = comm.ialltoallv(std::move(send));
-      const auto got = comm.wait(ticket);
-      EXPECT_FALSE(ticket.active());
+      const auto got = comm.alltoallv_mailbox(std::move(send));
       ASSERT_EQ(got.size(), static_cast<std::size_t>(comm.size()));
       for (const auto& b : got) EXPECT_TRUE(b.empty());
     });

@@ -74,6 +74,9 @@
 //                         results are bit-identical on either choice
 //     --out FILE          write result tuples as text
 //
+// Input files share one grammar (README "Input files and exit codes").
+// Exit codes: 0 success, 1 bad input file, 2 bad flag, 3 wrong engine.
+//
 // Examples:
 //   paralagg_cli sssp --synthetic twitter --scale 13 --ranks 8 --sources 0
 //   paralagg_cli cc --graph my_edges.txt --ranks 16 --out components.txt
@@ -336,21 +339,19 @@ void report(const core::RunResult& run) {
 
 }  // namespace
 
-std::vector<core::Tuple> read_rows(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot read facts file " << path << "\n";
-    std::exit(1);
-  }
+/// Read a --facts file: one row per line, exactly `arity` values each.
+std::vector<core::Tuple> read_rows(const std::string& path, std::size_t arity) {
+  graph::RowScanner scan(path);
   std::vector<core::Tuple> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ss(line);
+  while (scan.next()) {
+    const std::size_t n = scan.tokens().size();
+    if (n != arity) {
+      scan.fail("want " + std::to_string(arity) + " values (the relation's arity), got " +
+                std::to_string(n));
+    }
     core::Tuple t;
-    core::value_t v = 0;
-    while (ss >> v) t.push_back(v);
-    if (!t.empty()) rows.push_back(std::move(t));
+    for (std::size_t c = 0; c < n; ++c) t.push_back(scan.value(c));
+    rows.push_back(std::move(t));
   }
   return rows;
 }
@@ -374,7 +375,14 @@ int run_datalog(const Args& args) {
   }
 
   std::map<std::string, std::vector<core::Tuple>> facts;
-  for (const auto& [rel, path] : args.fact_files) facts[rel] = read_rows(path);
+  for (const auto& [rel, path] : args.fact_files) {
+    const auto id = prog.by_name().find(rel);
+    if (id == prog.by_name().end()) {
+      usage(("--facts names " + rel + ", which " + args.program_file + " does not declare")
+                .c_str());
+    }
+    facts[rel] = read_rows(path, prog.relations()[id->second].arity());
+  }
 
   vmpi::RunOptions ropts;
   ropts.watchdog_seconds = args.watchdog_seconds;
@@ -524,29 +532,24 @@ void run_query(const Args& args, const graph::Graph& g, const queries::QueryTuni
 }
 
 /// Parse an --update-batch file into this rank's sharded contribution:
-/// lines "+ u v [w]" / "- u v [w]", round-robin sliced across ranks.
+/// rows "+ u v [w]" / "- u v [w]", round-robin sliced across ranks.  Every
+/// rank validates every row, so a bad file fails on all ranks alike.
 serving::UpdateBatch read_update_batch(const std::string& path, std::size_t edge_arity,
                                        bool symmetrize, int rank, int nranks) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read update batch " + path);
+  graph::RowScanner scan(path);
   serving::RelationDelta delta;
   delta.relation = "edge";
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    const bool mine = lineno++ % static_cast<std::size_t>(nranks) ==
-                      static_cast<std::size_t>(rank);
-    std::istringstream ss(line);
-    char op = 0;
-    core::value_t u = 0, v = 0, w = 1;
-    if (!(ss >> op >> u >> v) || (op != '+' && op != '-')) {
-      throw std::runtime_error(path + ": bad update line '" + line +
-                               "' (want '+ u v [w]' or '- u v [w]')");
+  std::size_t index = 0;
+  while (scan.next()) {
+    const auto tok = scan.tokens();
+    if ((tok.size() != 3 && tok.size() != 4) || (tok[0] != "+" && tok[0] != "-")) {
+      scan.fail("bad update (want '+ u v [w]' or '- u v [w]')");
     }
-    ss >> w;  // optional; default weight 1
-    if (!mine) continue;
-    auto& rows = op == '+' ? delta.inserts : delta.deletes;
+    const core::value_t u = scan.value(1);
+    const core::value_t v = scan.value(2);
+    const core::value_t w = tok.size() == 4 ? scan.value(3) : 1;
+    if (index++ % static_cast<std::size_t>(nranks) != static_cast<std::size_t>(rank)) continue;
+    auto& rows = tok[0] == "+" ? delta.inserts : delta.deletes;
     if (edge_arity == 3) {
       rows.push_back(core::Tuple{u, v, w});
     } else {
@@ -652,10 +655,7 @@ int run_serve(const Args& args, const graph::Graph& g, const queries::QueryTunin
   return exit_code;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+int run(const Args& args) {
   if (args.query == "datalog") return run_datalog(args);
   const auto g = load_graph(args);
   std::cout << "graph '" << g.name << "': " << g.num_nodes << " nodes, " << g.num_edges()
@@ -722,9 +722,17 @@ int main(int argc, char** argv) {
   auto sources = args.sources;
   if (sources.empty()) sources = g.pick_hubs(3);
 
+  if (args.serve) return run_serve(args, g, tuning, sources);
+  run_query(args, g, tuning, sources);
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Args args = parse(argc, argv);
   try {
-    if (args.serve) return run_serve(args, g, tuning, sources);
-    run_query(args, g, tuning, sources);
+    return run(args);
   } catch (const serving::ServingError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -738,6 +746,10 @@ int main(int argc, char** argv) {
     // Flag/config mistakes (async::ConfigError included): usage-class error.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
+  } catch (const std::runtime_error& e) {
+    // An unreadable or malformed input file ("<path>:<line>: <reason>"),
+    // also when a rank hit it inside vmpi::run: the data-error class.
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
-  return 0;
 }

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <string_view>
 
 #include "graph/io.hpp"
 #include "graph/zoo.hpp"
@@ -172,42 +174,279 @@ TEST(Graph, PickSourcesHaveOutEdges) {
   }
 }
 
+// Writes `text` verbatim to a temp file named `name` and returns its path.
+std::string write_text(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return path;
+}
+
+// The message of the runtime_error read_edge_list(path) throws, or "" if it
+// returns normally.
+std::string read_error(const std::string& path) {
+  try {
+    (void)read_edge_list(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr value_t kMaxValue = std::numeric_limits<value_t>::max();
+
+// 1 + the largest id in `edges`: the node count a file of them reads back as.
+value_t node_count(const std::vector<Edge>& edges) {
+  value_t nodes = 0;
+  for (const auto& e : edges) nodes = std::max({nodes, e.src + 1, e.dst + 1});
+  return nodes;
+}
+
 TEST(Io, RoundTripsEdgeList) {
   const Graph g = make_erdos_renyi(50, 200, 10, 5);
   const std::string path = testing::TempDir() + "/paralagg_io_test.el";
   write_edge_list(g, path);
   const Graph back = read_edge_list(path, "roundtrip");
-  ASSERT_EQ(back.num_edges(), g.num_edges());
-  auto a = g.edges;
-  auto b = back.edges;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(back.edges, g.edges);
+  EXPECT_EQ(back.name, "roundtrip");
   std::remove(path.c_str());
 }
 
-TEST(Io, ParsesCommentsAndDefaultWeight) {
-  const std::string path = testing::TempDir() + "/paralagg_io_test2.el";
-  {
-    std::ofstream out(path);
-    out << "# comment\n% matrix-market comment\n1 2\n3 4 9\n";
+TEST(Io, GrammarAccepts) {
+  struct Case {
+    const char* what;
+    std::string text;
+    std::vector<Edge> edges;
+  };
+  const std::vector<Case> cases = {
+      {"comments and default weight", "# comment\n% matrix-market comment\n1 2\n3 4 9\n",
+       {{1, 2, 1}, {3, 4, 9}}},
+      {"tabs", "0\t1\t5\n2 \t 3\n", {{0, 1, 5}, {2, 3, 1}}},
+      {"CRLF", "# header\r\n0 1 2\r\n3 4\r\n", {{0, 1, 2}, {3, 4, 1}}},
+      {"no trailing newline", "0 1\n2 3 4", {{0, 1, 1}, {2, 3, 4}}},
+      {"whitespace-only lines", "0 1\n   \n\t\r\n\n2 3\n \r\n", {{0, 1, 1}, {2, 3, 1}}},
+      {"inline comments", "0 1 # note\n  # indented\n2 3 7 %pct\n4 5\t#\n",
+       {{0, 1, 1}, {2, 3, 7}, {4, 5, 1}}},
+      {"leading spaces and zeros", "  007 08 \n", {{7, 8, 1}}},
+      {"largest id and weight", "18446744073709551614 0 18446744073709551615\n",
+       {{kMaxValue - 1, 0, kMaxValue}}},
+      {"empty file", "", {}},
+      {"comments only", "# a\n% b\n", {}},
+  };
+  for (const auto& c : cases) {
+    const std::string path = write_text("paralagg_io_accept.el", c.text);
+    const Graph g = read_edge_list(path);
+    EXPECT_EQ(g.edges, c.edges) << c.what;
+    EXPECT_EQ(g.num_nodes, node_count(c.edges)) << c.what;
+    std::remove(path.c_str());
   }
-  const Graph g = read_edge_list(path);
-  ASSERT_EQ(g.num_edges(), 2u);
-  EXPECT_EQ(g.edges[0], (Edge{1, 2, 1}));
-  EXPECT_EQ(g.edges[1], (Edge{3, 4, 9}));
-  EXPECT_EQ(g.num_nodes, 5u);
+}
+
+TEST(Io, GrammarRejectsWithPathAndLine) {
+  struct Case {
+    std::string text;
+    std::size_t line;
+  };
+  const std::vector<Case> cases = {
+      {"-1 2\n", 1},                    // sign: would wrap to 2^64-1
+      {"18446744073709551615 0\n", 1},  // id 2^64-1: node count would wrap
+      {"0 18446744073709551615\n", 1},
+      {"18446744073709551616 0\n", 1},  // out of range
+      {"1 2 0.5\n", 1},                 // fraction: no truncation to 0
+      {"1 2junk\n", 1},                 // trailing characters
+      {"1 2 abc\n", 1},
+      {"not an edge\n", 1},
+      {"+1 2\n", 1},
+      {"0x1 2\n", 1},
+      {"0 1#x\n", 1},                   // '#' only starts a comment as a token
+      {"0 1\n1\n", 2},                  // too few values
+      {"0 1 2 3\n", 1},                 // too many values
+      {"# c\n\n0 1\n\r\n1 x\n", 5},     // skipped lines still count
+      {"0 1\r\n2 3\r\n4 5 -6\r\n", 3},
+      {"0 1\n2 3 \v\n", 2},             // only space, tab and CR are blank
+  };
+  for (const auto& c : cases) {
+    const std::string path = write_text("paralagg_io_reject.el", c.text);
+    const std::string prefix = path + ":" + std::to_string(c.line) + ": ";
+    EXPECT_EQ(read_error(path).rfind(prefix, 0), 0u)
+        << "text '" << c.text << "' gave '" << read_error(path) << "'";
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(read_error("/nonexistent/nope.el"), "/nonexistent/nope.el: cannot open");
+}
+
+TEST(Io, ScannerReadsReadmeUpdateBatch) {
+  // The update-batch example from README.md, verbatim.
+  const std::string path = write_text("paralagg_io_updates.txt",
+                                      "+ 17 4012 3      # insert edge 17 -> 4012, weight 3\n"
+                                      "- 99 1024 7      # delete the stored edge 99 -> 1024, "
+                                      "weight 7\n");
+  RowScanner scan(path);
+  ASSERT_TRUE(scan.next());
+  EXPECT_EQ(std::vector<std::string_view>(scan.tokens().begin(), scan.tokens().end()),
+            (std::vector<std::string_view>{"+", "17", "4012", "3"}));
+  EXPECT_EQ(scan.value(2), 4012u);
+  ASSERT_TRUE(scan.next());
+  EXPECT_EQ(std::vector<std::string_view>(scan.tokens().begin(), scan.tokens().end()),
+            (std::vector<std::string_view>{"-", "99", "1024", "7"}));
+  EXPECT_THROW((void)scan.value(0), std::runtime_error);
+  EXPECT_FALSE(scan.next());
   std::remove(path.c_str());
 }
 
-TEST(Io, ThrowsOnMissingAndMalformed) {
-  EXPECT_THROW(read_edge_list("/nonexistent/nope.el"), std::runtime_error);
-  const std::string path = testing::TempDir() + "/paralagg_io_bad.el";
-  {
-    std::ofstream out(path);
-    out << "not an edge\n";
+// Many times the scanner's 64 KiB read block.
+constexpr std::size_t kOverBlock = std::size_t{3} << 19;
+
+TEST(Io, RoundTripAcrossBlockBoundaries) {
+  const Graph g = make_twitter_like(14, 10);
+  const std::string path = testing::TempDir() + "/paralagg_io_big.el";
+  write_edge_list(g, path);
+  ASSERT_GT(std::ifstream(path, std::ios::ate).tellg(), std::streamoff(kOverBlock));
+  const Graph back = read_edge_list(path, "big");
+  EXPECT_EQ(back.edges, g.edges);  // edge for edge, in order
+  // RMAT leaves the top ids isolated; a file only knows the ids it holds.
+  EXPECT_EQ(back.num_nodes, node_count(g.edges));
+  std::remove(path.c_str());
+}
+
+TEST(Io, CommentLineLongerThanBlock) {
+  const std::string long_comment = "# " + std::string(kOverBlock, 'x') + "\n";
+  const std::string path = write_text(
+      "paralagg_io_long.el", long_comment + "0 1\n2 3 #" + std::string(kOverBlock, 'y') +
+                                 "\n" + long_comment + "4 5 6\n7 z\n");
+  const std::string prefix = path + ":6: ";
+  EXPECT_EQ(read_error(path).rfind(prefix, 0), 0u) << read_error(path);
+  const std::string ok = write_text("paralagg_io_long_ok.el",
+                                    long_comment + "0 1\n" + long_comment + "4 5 6");
+  EXPECT_EQ(read_edge_list(ok).edges, (std::vector<Edge>{{0, 1, 1}, {4, 5, 6}}));
+  std::remove(path.c_str());
+  std::remove(ok.c_str());
+}
+
+// A deliberately naive restatement of the edge-list grammar, sharing no code
+// with the scanner: the edges the text holds, or the first bad line.
+struct Reference {
+  std::vector<Edge> edges;
+  std::size_t bad_line = 0;
+};
+
+Reference reference_parse(const std::string& text) {
+  Reference ref;
+  std::size_t line = 0;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t nl = text.find('\n', start);
+    const std::size_t stop = nl == std::string::npos ? text.size() : nl;
+    ++line;
+    std::vector<std::string> toks(1);
+    for (std::size_t i = start; i < stop; ++i) {
+      const char c = text[i];
+      if (c == ' ' || c == '\t' || c == '\r') {
+        if (!toks.back().empty()) toks.emplace_back();
+      } else {
+        toks.back() += c;
+      }
+    }
+    if (toks.back().empty()) toks.pop_back();
+    for (std::size_t t = 0; t < toks.size(); ++t) {
+      if (toks[t][0] == '#' || toks[t][0] == '%') {
+        toks.resize(t);
+        break;
+      }
+    }
+    start = stop + 1;
+    if (toks.empty()) continue;
+    std::vector<value_t> vals;
+    for (const auto& tok : toks) {
+      value_t v = 0;
+      for (const char c : tok) {
+        const value_t d = static_cast<value_t>(c - '0');
+        if (c < '0' || c > '9' || v > (kMaxValue - d) / 10) {
+          ref.bad_line = line;
+          return ref;
+        }
+        v = v * 10 + d;
+      }
+      vals.push_back(v);
+    }
+    if (vals.size() < 2 || vals.size() > 3 || vals[0] == kMaxValue || vals[1] == kMaxValue) {
+      ref.bad_line = line;
+      return ref;
+    }
+    ref.edges.push_back(Edge{vals[0], vals[1], vals.size() == 3 ? vals[2] : 1});
   }
-  EXPECT_THROW(read_edge_list(path), std::runtime_error);
+  return ref;
+}
+
+// Valid edge-list text: edges with and without weights, comments, blank
+// lines, tabs and CRLF endings.
+std::string valid_text(Rng& rng, std::size_t lines) {
+  std::string text;
+  for (std::size_t i = 0; i < lines; ++i) {
+    switch (rng.below(8)) {
+      case 0: text += "# comment " + std::to_string(rng.next()); break;
+      case 1: text += "   "; break;
+      case 2:
+        text += std::to_string(rng.next()) + "\t" + std::to_string(rng.below(100));
+        break;
+      default:
+        text += std::to_string(rng.below(1000)) + " " + std::to_string(rng.below(1000)) + " " +
+                std::to_string(rng.below(50));
+    }
+    text += rng.below(4) == 0 ? "\r\n" : "\n";
+  }
+  return text;
+}
+
+// Flips, inserts or truncates at a random offset in [lo, text.size()).
+void mutate(Rng& rng, std::string& text, std::size_t lo) {
+  static constexpr char kBytes[] = {'-', '+', '.', 'a', 'x', 'e', '\r', '\t', ' ', '\n',
+                                    '#', '%', '0', '9', '\v', '\0'};
+  if (text.size() <= lo) return;
+  const std::size_t at = lo + rng.below(text.size() - lo);
+  const char byte = kBytes[rng.below(sizeof kBytes)];
+  switch (rng.below(4)) {
+    case 0: text[at] = byte; break;
+    case 1: text.insert(at, 1, byte); break;
+    case 2: text[at] = static_cast<char>(text[at] ^ (1 << rng.below(8))); break;
+    default: text.resize(at); break;
+  }
+}
+
+TEST(Io, DifferentialFuzzAgainstReference) {
+  Rng rng(20231);
+  const std::string path = testing::TempDir() + "/paralagg_io_fuzz.el";
+  const std::string big_prefix = [&] {
+    Rng r(7);
+    std::string t;
+    while (t.size() < (std::size_t{1} << 20) - 64) t += valid_text(r, 1);
+    return t;
+  }();
+  std::size_t threw = 0;
+  for (int c = 0; c < 600; ++c) {
+    // Every 50th case straddles the 1 MiB mark, a read-block boundary, and
+    // mutates only near it, so junk lands in the carried partial line.
+    const bool straddle = c % 50 == 0;
+    std::string text = (straddle ? big_prefix : "") + valid_text(rng, 1 + rng.below(30));
+    const std::size_t lo = straddle ? big_prefix.size() - 32 : 0;
+    for (std::size_t m = 1 + rng.below(3); m > 0; --m) mutate(rng, text, lo);
+    write_text("paralagg_io_fuzz.el", text);
+
+    const Reference want = reference_parse(text);
+    const std::string err = read_error(path);
+    if (want.bad_line != 0) {
+      ++threw;
+      const std::string prefix = path + ":" + std::to_string(want.bad_line) + ": ";
+      EXPECT_EQ(err.rfind(prefix, 0), 0u) << "case " << c << ": '" << err << "'";
+    } else {
+      ASSERT_EQ(err, "") << "case " << c;
+      const Graph g = read_edge_list(path);
+      EXPECT_EQ(g.edges, want.edges) << "case " << c;
+      EXPECT_EQ(g.num_nodes, node_count(want.edges)) << "case " << c;
+    }
+  }
+  // Both outcomes must be exercised for the comparison to mean anything.
+  EXPECT_GT(threw, 100u);
+  EXPECT_LT(threw, 500u);
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "storage/btree.hpp"
 
 namespace {
@@ -34,6 +36,22 @@ void BM_InsertRandom(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_InsertRandom)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_BuildSorted(benchmark::State& state) {
+  // The bulk path every empty tree takes: one sorted run, built bottom-up.
+  // Same rows as BM_InsertSequential.
+  const auto n = static_cast<value_t>(state.range(0));
+  std::vector<value_t> run;
+  run.reserve(2 * n);
+  for (value_t v = 0; v < n; ++v) run.insert(run.end(), {v, v});
+  for (auto _ : state) {
+    TupleBTree t(2, 2);
+    t.build_sorted(run);
+    benchmark::DoNotOptimize(t.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_BuildSorted)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_FindKey(benchmark::State& state) {
   const auto n = static_cast<value_t>(state.range(0));

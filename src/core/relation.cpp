@@ -187,73 +187,75 @@ void Relation::stage_rows(std::span<const value_t> rows) {
   }
 }
 
+bool Relation::ascend(std::span<const value_t> cur_dep, std::span<const value_t> dep,
+                      std::span<value_t> out) const {
+  cfg_.aggregator->partial_agg(cur_dep, dep, out);
+  if (std::equal(out.begin(), out.end(), cur_dep.begin(), cur_dep.end())) return false;
+  // Lattice law: cur ⊔ x must sit above cur.  A violating aggregator would
+  // break termination, so catch it in debug builds.
+  assert(cfg_.aggregator->partial_cmp(cur_dep, out) == PartialOrder::kLess);
+  return true;
+}
+
 MaterializeResult Relation::materialize() {
   MaterializeResult res;
-  delta_.clear();
+  const std::size_t ar = cfg_.arity;
+  std::vector<value_t> fresh;  // the next delta, one flat row after another
 
   if (!aggregated()) {
     res.staged = staged_set_.size();
     for (const auto& t : staged_set_) {
       if (full_.insert(t)) {
-        delta_.insert(t);
+        fresh.insert(fresh.end(), t.view().begin(), t.view().end());
         ++res.inserted;
       } else {
         ++res.rejected;
       }
     }
     staged_set_.clear();
-    res.delta_size = delta_.size();
-    return res;
-  }
-
-  res.staged = staged_agg_.size();
-
-  if (cfg_.agg_mode == AggMode::kRefresh) {
-    // Jacobi-style replacement: the staged aggregates *are* the next state.
-    full_.clear();
+  } else if (cfg_.agg_mode == AggMode::kRefresh) {
+    // Jacobi-style replacement: the staged aggregates *are* the next state,
+    // and there is no delta.
+    res.staged = staged_agg_.size();
+    std::vector<value_t> rows;
+    rows.reserve(staged_agg_.size() * ar);
     for (const auto& [key, dep] : staged_agg_) {
-      Tuple row = key;
-      for (std::size_t i = 0; i < cfg_.dep_arity; ++i) row.push_back(dep[i]);
-      full_.insert(row);
-      ++res.inserted;
+      rows.insert(rows.end(), key.view().begin(), key.view().end());
+      rows.insert(rows.end(), dep.view().begin(), dep.view().end());
+    }
+    res.inserted = res.staged;
+    staged_agg_.clear();
+    full_.sort_run(rows);
+    full_.build_sorted(rows);
+  } else {
+    // Lattice mode: fused dedup/aggregation (paper §IV-A).
+    res.staged = staged_agg_.size();
+    std::vector<value_t> merged(cfg_.dep_arity);
+    for (const auto& [key, dep] : staged_agg_) {
+      const std::span<value_t> cur = full_.find_key(key.view());
+      if (cur.empty()) {
+        fresh.insert(fresh.end(), key.view().begin(), key.view().end());
+        fresh.insert(fresh.end(), dep.view().begin(), dep.view().end());
+        full_.insert(std::span<const value_t>(fresh).last(ar));
+        ++res.inserted;
+        continue;
+      }
+      const auto cur_dep = cur.subspan(indep_arity(), cfg_.dep_arity);
+      if (!ascend(cur_dep, dep.view(), merged)) {
+        ++res.rejected;  // no new information: never enters delta, never moves
+        continue;
+      }
+      // In-place payload rewrite through the mutable find_key span; the key
+      // columns stay untouched so the tree stays ordered.  The row is copied
+      // out now: the next full_.insert may move it.
+      std::copy(merged.begin(), merged.end(), cur_dep.begin());
+      fresh.insert(fresh.end(), cur.begin(), cur.end());
+      ++res.updated;
     }
     staged_agg_.clear();
-    res.delta_size = 0;
-    return res;
   }
-
-  // Lattice mode: fused dedup/aggregation (paper §IV-A).
-  Tuple merged;
-  for (const auto& [key, dep] : staged_agg_) {
-    const std::span<value_t> cur = full_.find_key(key.view());
-    if (cur.empty()) {
-      Tuple row = key;
-      for (std::size_t i = 0; i < cfg_.dep_arity; ++i) row.push_back(dep[i]);
-      delta_.insert(row);
-      full_.insert(row);
-      ++res.inserted;
-      continue;
-    }
-    const std::span<const value_t> cur_dep = cur.subspan(indep_arity(), cfg_.dep_arity);
-    merged.clear();
-    for (std::size_t i = 0; i < cfg_.dep_arity; ++i) merged.push_back(cur_dep[i]);
-    cfg_.aggregator->partial_agg(cur_dep, dep.view(), merged.mutable_view());
-    if (std::equal(merged.view().begin(), merged.view().end(), cur_dep.begin(),
-                   cur_dep.end())) {
-      ++res.rejected;  // no new information: never enters delta, never moves
-      continue;
-    }
-    // Lattice law: cur ⊔ x must sit above cur.  A violating aggregator
-    // would break termination, so catch it in debug builds.
-    assert(cfg_.aggregator->partial_cmp(cur_dep, merged.view()) == PartialOrder::kLess);
-    // In-place payload rewrite through the mutable find_key span; the key
-    // columns stay untouched so the tree stays ordered.
-    std::copy(merged.view().begin(), merged.view().end(),
-              cur.subspan(indep_arity(), cfg_.dep_arity).begin());
-    delta_.insert(std::span<const value_t>(cur));
-    ++res.updated;
-  }
-  staged_agg_.clear();
+  delta_.sort_run(fresh);
+  delta_.build_sorted(fresh);
   res.delta_size = delta_.size();
   return res;
 }
@@ -285,16 +287,11 @@ Relation::LocalSnapshot Relation::snapshot() const {
 }
 
 void Relation::restore(const LocalSnapshot& snap) {
-  full_.clear();
-  delta_.clear();
   staged_set_.clear();
   staged_agg_.clear();
-  for (std::size_t off = 0; off < snap.full.size(); off += cfg_.arity) {
-    full_.insert(std::span<const value_t>{snap.full.data() + off, cfg_.arity});
-  }
-  for (std::size_t off = 0; off < snap.delta.size(); off += cfg_.arity) {
-    delta_.insert(std::span<const value_t>{snap.delta.data() + off, cfg_.arity});
-  }
+  // snapshot() wrote both runs with for_each: already in key order.
+  full_.build_sorted(snap.full);
+  delta_.build_sorted(snap.delta);
   support_.clear();
   support_.reserve(snap.support.size());
   for (const auto& [key, count] : snap.support) support_.emplace(key, count);
@@ -326,7 +323,26 @@ Tuple Relation::retract_key(std::span<const value_t> key) {
   return removed;
 }
 
+namespace {
+
+/// The rows of every exchange buffer, concatenated in source-rank order.
+std::vector<value_t> concat_rows(const std::vector<vmpi::Bytes>& bufs) {
+  std::size_t total = 0;
+  for (const auto& buf : bufs) total += buf.size() / sizeof(value_t);
+  std::vector<value_t> rows;
+  rows.reserve(total);
+  for (const auto& buf : bufs) {
+    vmpi::TypedReader<value_t> r(buf);
+    const auto vals = r.take_span(r.remaining());
+    rows.insert(rows.end(), vals.begin(), vals.end());
+  }
+  return rows;
+}
+
+}  // namespace
+
 void Relation::load_facts(std::span<const Tuple> slice) {
+  assert(staged_count() == 0 && "facts load between iterations");
   const auto n = static_cast<std::size_t>(comm_->size());
   std::vector<vmpi::BufferWriter> outgoing(n);
   for (const auto& t : slice) {
@@ -335,13 +351,87 @@ void Relation::load_facts(std::span<const Tuple> slice) {
   }
   std::vector<vmpi::Bytes> send(n);
   for (std::size_t d = 0; d < n; ++d) send[d] = outgoing[d].take();
-  auto got = comm_->alltoallv(std::move(send));
+  auto run = concat_rows(comm_->alltoallv(std::move(send)));
 
-  for (const auto& buf : got) {
-    vmpi::TypedReader<value_t> r(buf);
-    stage_rows(r.take_span(r.remaining()));
+  full_.sort_run(run);
+  fold_sorted_run(run);
+  if (aggregated() && cfg_.agg_mode == AggMode::kRefresh) {
+    full_.build_sorted(run);  // the loaded aggregates replace the state
+    delta_.clear();
+  } else if (full_.empty()) {
+    full_.build_sorted(run);
+    delta_.build_sorted(run);
+  } else {
+    merge_into_full(run);
   }
-  materialize();
+}
+
+void Relation::fold_sorted_run(std::vector<value_t>& run) {
+  const std::size_t ar = cfg_.arity;
+  const std::size_t indep = indep_arity();
+  std::vector<value_t> merged(cfg_.dep_arity);
+  std::size_t out = 0;  // the folded prefix of `run`, in values
+  for (std::size_t i = 0; i < run.size();) {
+    // Group heads move down to `out`; that never overlaps a later row.
+    std::copy_n(run.begin() + static_cast<std::ptrdiff_t>(i), ar,
+                run.begin() + static_cast<std::ptrdiff_t>(out));
+    const std::span<value_t> head(run.data() + out, ar);
+    std::size_t j = i + ar;
+    for (; j < run.size(); j += ar) {
+      const std::span<const value_t> row(run.data() + j, ar);
+      if (full_.compare_keys(head, row) != 0) break;
+      if (aggregated()) {
+        cfg_.aggregator->partial_agg(head.subspan(indep), row.subspan(indep), merged);
+        std::copy(merged.begin(), merged.end(),
+                  head.begin() + static_cast<std::ptrdiff_t>(indep));
+      }
+    }
+    if (support_counts_) support_[Tuple(head.first(indep))] += (j - i) / ar;
+    out += ar;
+    i = j;
+  }
+  run.resize(out);
+}
+
+void Relation::merge_into_full(std::span<const value_t> run) {
+  const std::size_t ar = cfg_.arity;
+  const std::size_t indep = indep_arity();
+  std::vector<value_t> next_full, fresh;
+  next_full.reserve(full_.size() * ar + run.size());
+  std::vector<value_t> merged(cfg_.dep_arity);
+  const auto append = [](std::vector<value_t>& to, std::span<const value_t> row) {
+    to.insert(to.end(), row.begin(), row.end());
+  };
+  auto c = full_.cursor();
+  c.seek_first();
+  std::size_t i = 0;
+  while (c.valid() || i < run.size()) {
+    const auto ord = !c.valid()          ? std::strong_ordering::greater
+                     : i == run.size() ? std::strong_ordering::less
+                                       : full_.compare_keys(c.row(), run.subspan(i, ar));
+    if (ord < 0) {  // a key only full_ holds
+      append(next_full, c.row());
+      c.next();
+      continue;
+    }
+    const auto row = run.subspan(i, ar);
+    i += ar;
+    if (ord > 0) {  // a new key
+      append(next_full, row);
+      append(fresh, row);
+      continue;
+    }
+    if (aggregated() && ascend(c.row().subspan(indep), row.subspan(indep), merged)) {
+      append(fresh, row.first(indep));
+      append(fresh, merged);
+      append(next_full, std::span<const value_t>(fresh).last(ar));
+    } else {
+      append(next_full, c.row());  // no new information
+    }
+    c.next();
+  }
+  full_.build_sorted(next_full);
+  delta_.build_sorted(fresh);
 }
 
 std::uint64_t Relation::global_size(Version v) {
@@ -400,14 +490,9 @@ std::uint64_t Relation::reshuffle_to_sub_buckets(int new_sub_buckets,
       }
       send[d] = outgoing[d].take();
     }
-    auto got = comm_->alltoallv(std::move(send));
-
-    storage::TupleBTree rebuilt(cfg_.arity, indep_arity());
-    for (const auto& buf : got) {
-      vmpi::TypedReader<value_t> r(buf);
-      while (!r.done()) rebuilt.insert(r.take_span(cfg_.arity));
-    }
-    tree(v) = std::move(rebuilt);
+    auto rebuilt = concat_rows(comm_->alltoallv(std::move(send)));
+    tree(v).sort_run(rebuilt);
+    tree(v).build_sorted(rebuilt);
   }
   return moved_bytes;
 }

@@ -21,6 +21,8 @@
 // Each rank holds its partition in two B-trees (full and delta, keyed on
 // the independent columns) plus a staging area where tuples arriving from
 // the all-to-all exchange are *pre-aggregated* before materialization.
+// Fact loading bypasses staging: it sorts the received rows, folds equal
+// keys and bulk-builds the trees (DESIGN.md §5.1).
 
 #include <string>
 #include <unordered_map>
@@ -221,15 +223,21 @@ class Relation {
   [[nodiscard]] LocalSnapshot snapshot() const;
 
   /// Restore exactly the state captured by snapshot(): full/delta rebuilt
-  /// by reinsertion, staging cleared, support map replaced.  Local; the
-  /// serving engine calls it on every rank after an aborted batch.
+  /// from the snapshot's key-ordered runs, staging cleared, support map
+  /// replaced.  Local; the serving engine calls it on every rank after an
+  /// aborted batch.
   void restore(const LocalSnapshot& snap);
 
   // -- collective operations ----------------------------------------------------
 
   /// Distribute and materialize initial facts.  Collective: every rank
   /// calls it with its (possibly empty) slice; each tuple is routed to its
-  /// owner.  The resulting delta equals the loaded set.
+  /// owner, which sorts what it received, folds equal keys (duplicates
+  /// dropped, aggregates joined in arrival order, one support event per
+  /// row) and bulk-builds its trees.  Into an empty relation the delta
+  /// equals the loaded set; into a populated one it holds the new and
+  /// ascended rows, as materialize() would.  Refresh relations replace
+  /// their state and keep no delta.  Must run between iterations.
   void load_facts(std::span<const Tuple> slice);
 
   /// Global tuple count of a version.  Collective.
@@ -267,6 +275,15 @@ class Relation {
 
  private:
   void validate_config() const;
+  /// out := cur_dep ⊔ dep; true iff that strictly ascends past cur_dep.
+  bool ascend(std::span<const value_t> cur_dep, std::span<const value_t> dep,
+              std::span<value_t> out) const;
+  /// Collapse each group of equal keys in a sort_run-ordered run into its
+  /// first row, counting one support event per row when enabled.
+  void fold_sorted_run(std::vector<value_t>& run);
+  /// Merge a folded run into a populated full_ in one pass over its leaf
+  /// chain; rebuild full_ and make delta_ the new and ascended rows.
+  void merge_into_full(std::span<const value_t> run);
   [[nodiscard]] std::size_t effective_sub_cols() const {
     return indep_arity() - cfg_.jcc;  // columns feeding H2
   }

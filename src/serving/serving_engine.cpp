@@ -285,10 +285,10 @@ void ServingEngine::build_reverse_indexes() {
         });
     auto flat = exchange_flat(std::move(send));
     auto& tree = rs.rev->tree(core::Version::kFull);
-    const std::size_t ar = rs.rev->arity();
-    for (std::size_t off = 0; off < flat.size(); off += ar) {
-      tree.insert(std::span<const value_t>{flat.data() + off, ar});
-    }
+    // Each reverse row extends a distinct base row, so the sorted run is
+    // already strictly increasing: no fold needed.
+    tree.sort_run(flat);
+    tree.build_sorted(flat);
   }
 }
 

@@ -47,6 +47,11 @@ class TupleBTree {
   /// tuples); aggregated relations use key_arity == number of independent
   /// columns, with dependent columns carried as the payload.
   TupleBTree(std::size_t arity, std::size_t key_arity);
+
+  /// Most rows per leaf and most children per inner node.
+  static constexpr std::size_t kLeafCap = 32;
+  static constexpr std::size_t kInnerCap = 32;
+
   ~TupleBTree();
 
   TupleBTree(TupleBTree&&) noexcept;
@@ -64,6 +69,28 @@ class TupleBTree {
   /// already exists (the stored tuple is untouched).
   bool insert(std::span<const value_t> row);
   bool insert(const Tuple& t) { return insert(t.view()); }
+
+  /// Replace the tree's contents with `rows`: a flat, row-major run of
+  /// `arity` columns per row, strictly increasing by key.  Built bottom-up
+  /// in one pass: full leaves left to right, chained, then each inner level
+  /// over the one below with up to kInnerCap children.  This is how every
+  /// empty tree is filled; point inserts are for trees that already hold
+  /// rows.  Costs no key comparisons.
+  void build_sorted(std::span<const value_t> rows);
+
+  /// Sort a flat run of rows (`arity` columns each) by key, in place.
+  /// Rows with equal keys keep their input order, so a caller folding each
+  /// group front to back sees the rows as they arrived.  Every key
+  /// comparison is charged to comparisons().
+  void sort_run(std::vector<value_t>& rows) const;
+
+  /// Key order of two rows (their leading key_arity columns), charged to
+  /// comparisons() like every comparison the tree makes.  Callers that fold
+  /// or merge sorted runs use it so their comparisons are counted too.
+  [[nodiscard]] std::strong_ordering compare_keys(std::span<const value_t> a,
+                                                  std::span<const value_t> b) const {
+    return cmp_key(a, b, key_arity_);
+  }
 
   /// View of the stored row for `key` (exactly key_arity columns), or an
   /// empty span.  Callers may rewrite payload columns in place through the
@@ -226,21 +253,14 @@ class TupleBTree {
   // -- instrumentation --------------------------------------------------------
 
   [[nodiscard]] std::uint64_t comparisons() const { return comparisons_; }
-  [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
   void reset_counters() const { comparisons_ = 0; }
 
-  /// Rough resident size, for memory-pressure modelling.
-  [[nodiscard]] std::size_t approx_bytes() const;
-
   /// Structural invariant check (test hook): sortedness, fanout bounds,
-  /// separator correctness, leaf-chain completeness.  Aborts via assert on
-  /// violation; returns tuple count seen.
+  /// separator correctness, leaf-chain completeness, row count.  Throws
+  /// std::logic_error naming the broken invariant; returns the row count.
   [[nodiscard]] std::size_t check_invariants() const;
 
  private:
-  static constexpr std::size_t kLeafCap = 32;
-  static constexpr std::size_t kInnerCap = 32;
-
   [[nodiscard]] std::strong_ordering cmp_key(std::span<const value_t> a,
                                              std::span<const value_t> b,
                                              std::size_t ncols) const;
@@ -260,7 +280,6 @@ class TupleBTree {
   std::size_t size_ = 0;
   std::unique_ptr<Node> root_;
   mutable std::uint64_t comparisons_ = 0;
-  std::uint64_t inserts_ = 0;
 };
 
 }  // namespace paralagg::storage

@@ -1,5 +1,5 @@
-// TupleBTree: insertion, lookup, prefix scans, cursors, structural
-// invariants.
+// TupleBTree: insertion, bulk building, lookup, prefix scans, cursors,
+// structural invariants.
 
 #include "storage/btree.hpp"
 
@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace paralagg::storage {
@@ -387,13 +389,6 @@ TEST(BTree, CountsComparisonsMonotonically) {
   EXPECT_EQ(t.comparisons(), 0u);
 }
 
-TEST(BTree, ApproxBytesGrowsWithContent) {
-  TupleBTree t(3, 3);
-  const auto empty = t.approx_bytes();
-  for (value_t v = 0; v < 1000; ++v) t.insert(Tuple{v, v, v});
-  EXPECT_GT(t.approx_bytes(), empty);
-}
-
 TEST(BTree, FuzzAgainstStdMap) {
   // Randomized differential test: interleaved inserts, lookups, payload
   // rewrites, prefix scans, and monotone cursor batches against a
@@ -473,6 +468,168 @@ TEST(BTree, FuzzAgainstStdMap) {
     }
   }
   EXPECT_EQ(tree.check_invariants(), ref.size());
+}
+
+TEST(BTree, CheckInvariantsThrowsOnBrokenOrder) {
+  // build_sorted trusts its input; a descending run yields a tree whose
+  // rows are out of order, and the check must say so in every build type.
+  TupleBTree t(2, 2);
+  std::vector<value_t> run;
+  for (value_t v = 100; v > 0; --v) run.insert(run.end(), {v, v});
+  t.build_sorted(run);
+  EXPECT_THROW((void)t.check_invariants(), std::logic_error);
+}
+
+// -- build_sorted vs point inserts ---------------------------------------------
+
+struct BuildSortedParam {
+  std::size_t rows;
+  std::size_t arity;
+  std::size_t key_arity;
+};
+
+class BuildSortedDiff : public ::testing::TestWithParam<BuildSortedParam> {};
+
+/// Seeded random row: key columns drawn from a small domain so later
+/// inserts hit both present and absent keys.
+Tuple random_row(value_t& state, std::size_t arity, value_t domain) {
+  Tuple row;
+  for (std::size_t c = 0; c < arity; ++c) {
+    state = mix64(state);
+    row.push_back(state % domain);
+  }
+  return row;
+}
+
+std::vector<Tuple> rows_of(const TupleBTree& t) {
+  std::vector<Tuple> out;
+  t.for_each([&](std::span<const value_t> row) { out.emplace_back(row); });
+  return out;
+}
+
+TEST_P(BuildSortedDiff, MatchesPointInsertsThroughLaterMutations) {
+  const auto p = GetParam();
+  const value_t domain = 4 * static_cast<value_t>(p.rows) + 64;
+  value_t state = 0x5eed + p.rows;
+
+  // Distinct keys, in key order, then a point-insert twin fed the same
+  // rows in a scrambled order.
+  std::map<Tuple, Tuple> by_key;
+  while (by_key.size() < p.rows) {
+    Tuple row = random_row(state, p.arity, domain);
+    by_key.emplace(Tuple(row.prefix(p.key_arity)), row);
+  }
+  std::vector<value_t> run;
+  std::vector<Tuple> scrambled;
+  for (const auto& [key, row] : by_key) {
+    run.insert(run.end(), row.view().begin(), row.view().end());
+    scrambled.push_back(row);
+  }
+  for (std::size_t i = scrambled.size(); i > 1; --i) {
+    state = mix64(state);
+    std::swap(scrambled[i - 1], scrambled[state % i]);
+  }
+
+  TupleBTree bulk(p.arity, p.key_arity);
+  bulk.insert(random_row(state, p.arity, domain));  // build_sorted replaces contents
+  bulk.build_sorted(run);
+  TupleBTree point(p.arity, p.key_arity);
+  for (const auto& row : scrambled) ASSERT_TRUE(point.insert(row));
+
+  ASSERT_EQ(bulk.size(), p.rows);
+  ASSERT_EQ(bulk.check_invariants(), p.rows);
+  ASSERT_EQ(point.check_invariants(), p.rows);
+  ASSERT_EQ(rows_of(bulk), rows_of(point));
+
+  // Bulk-built leaves are full: an insert below the first stored key lands
+  // in the first leaf and splits it at once.  Then empty a leaf's worth of
+  // keys from the front, which leaves an empty leaf in the chain.
+  if (!by_key.empty()) {
+    Tuple low(by_key.begin()->first.view());
+    if (low[p.key_arity - 1] > 0) {
+      --low[p.key_arity - 1];
+      while (low.size() < p.arity) low.push_back(7);
+      EXPECT_EQ(bulk.insert(low), point.insert(low));
+    }
+  }
+  std::size_t erased = 0;
+  for (auto it = by_key.begin(); it != by_key.end() && erased < TupleBTree::kLeafCap + 1;
+       ++it, ++erased) {
+    EXPECT_EQ(bulk.erase_key(it->first.view()), point.erase_key(it->first.view()));
+  }
+  ASSERT_EQ(bulk.check_invariants(), point.check_invariants());
+  {
+    // Both cursors must hop the emptied leaf to the same first row.
+    auto cb = bulk.cursor();
+    auto cp = point.cursor();
+    cb.seek_first();
+    cp.seek_first();
+    ASSERT_EQ(cb.valid(), cp.valid());
+    if (cb.valid()) {
+      EXPECT_EQ(Tuple(cb.row()), Tuple(cp.row()));
+    }
+  }
+
+  // Seeded random mutation/lookup mix, compared op by op.
+  const int ops = static_cast<int>(std::min<std::size_t>(20000, 4 * p.rows + 200));
+  for (int op = 0; op < ops; ++op) {
+    state = mix64(state);
+    const Tuple row = random_row(state, p.arity, domain);
+    const auto key = row.prefix(p.key_arity);
+    switch (state % 4) {
+      case 0:
+        ASSERT_EQ(bulk.insert(row), point.insert(row)) << "insert at op " << op;
+        break;
+      case 1:
+        ASSERT_EQ(bulk.erase_key(key), point.erase_key(key)) << "erase at op " << op;
+        break;
+      case 2: {
+        const auto a = std::as_const(bulk).find_key(key);
+        const auto b = std::as_const(point).find_key(key);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "find at op " << op;
+        break;
+      }
+      default: {
+        // An ascending batch of seeks over 1-column prefixes.
+        auto cb = bulk.cursor();
+        auto cp = point.cursor();
+        for (value_t v = row[0]; v < row[0] + 8; ++v) {
+          const value_t prefix[] = {v};
+          const auto pre = std::span<const value_t>(prefix, 1);
+          cb.seek(pre);
+          cp.seek(pre);
+          ASSERT_EQ(cb.valid(), cp.valid()) << "seek at op " << op;
+          if (cb.valid()) {
+            ASSERT_EQ(Tuple(cb.row()), Tuple(cp.row())) << "seek at op " << op;
+          }
+        }
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(bulk.check_invariants(), point.size());
+  EXPECT_EQ(rows_of(bulk), rows_of(point));
+}
+
+constexpr std::size_t kLeaf = TupleBTree::kLeafCap;
+constexpr std::size_t kTwoLevels = TupleBTree::kLeafCap * TupleBTree::kInnerCap + 1;
+
+INSTANTIATE_TEST_SUITE_P(
+    RunSizes, BuildSortedDiff,
+    ::testing::Values(BuildSortedParam{0, 3, 2}, BuildSortedParam{1, 3, 2},
+                      BuildSortedParam{kLeaf, 3, 2}, BuildSortedParam{kLeaf + 1, 3, 2},
+                      BuildSortedParam{kTwoLevels, 3, 2}, BuildSortedParam{100000, 3, 2},
+                      BuildSortedParam{0, 2, 2}, BuildSortedParam{1, 2, 2},
+                      BuildSortedParam{kLeaf, 2, 2}, BuildSortedParam{kLeaf + 1, 2, 2},
+                      BuildSortedParam{kTwoLevels, 2, 2}, BuildSortedParam{100000, 2, 2}));
+
+TEST(BTree, SortRunIsStableAndCounted) {
+  TupleBTree t(2, 1);
+  // Keys 3,1,3,2,1 with payloads recording input position.
+  std::vector<value_t> run = {3, 0, 1, 1, 3, 2, 2, 3, 1, 4};
+  t.sort_run(run);
+  EXPECT_EQ(run, (std::vector<value_t>{1, 1, 1, 4, 2, 3, 3, 0, 3, 2}));
+  EXPECT_GT(t.comparisons(), 0u);
 }
 
 // Parameterized sweep: invariants hold across arities and orderings.

@@ -377,6 +377,202 @@ TEST(Relation, CheckpointArityMismatchRejected) {
   std::remove(path.c_str());
 }
 
+// -- bulk fact loading ---------------------------------------------------------
+
+void expect_valid_trees(const Relation& r) {
+  for (const Version v : {Version::kFull, Version::kDelta}) {
+    const auto& t = r.tree(v);
+    EXPECT_NO_THROW(EXPECT_EQ(t.check_invariants(), t.size()));
+  }
+}
+
+std::vector<Tuple> local_rows(const Relation& r, Version v) {
+  std::vector<Tuple> out;
+  r.tree(v).for_each([&](std::span<const value_t> row) { out.emplace_back(row); });
+  return out;
+}
+
+TEST(Relation, LoadFactsDropsRowsSentFromSeveralRanks) {
+  vmpi::run(4, [&](vmpi::Comm& comm) {
+    Relation r(comm, plain2());
+    const auto me = static_cast<value_t>(comm.rank());
+    // Every rank sends the same three rows, twice, plus one of its own.
+    std::vector<Tuple> slice = {Tuple{1, 2}, Tuple{3, 4}, Tuple{5, 6}, Tuple{3, 4},
+                                Tuple{1, 2}, Tuple{5, 6}, Tuple{100 + me, 0}};
+    r.load_facts(slice);
+    expect_valid_trees(r);
+    EXPECT_EQ(local_rows(r, Version::kFull), local_rows(r, Version::kDelta));
+    const auto rows = r.gather_to_root(0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(rows, (std::vector<Tuple>{Tuple{1, 2}, Tuple{3, 4}, Tuple{5, 6}, Tuple{100, 0},
+                                          Tuple{101, 0}, Tuple{102, 0}, Tuple{103, 0}}));
+    }
+  });
+}
+
+TEST(Relation, LoadFactsFoldMatchesStagingFold) {
+  // Equal keys with different dependent values: the sort-and-fold at load
+  // must give what staging + materialize gives for the same rows.
+  const std::vector<RelationConfig> configs = {
+      min3("min"),
+      {.name = "sum",
+       .arity = 3,
+       .jcc = 1,
+       .dep_arity = 1,
+       .aggregator = make_sum_aggregator(),
+       .agg_mode = AggMode::kRefresh}};
+  constexpr int kRanks = 4;
+  const auto rows_from = [](int rank) {
+    std::vector<Tuple> out;
+    for (value_t k = 0; k < 60; ++k) {
+      for (value_t rep = 0; rep < 1 + k % 3; ++rep) {
+        const value_t v = storage::mix64(k * 31 + rep * 7 + static_cast<value_t>(rank)) % 1000;
+        out.push_back(Tuple{k % 7, k, v});
+      }
+    }
+    return out;
+  };
+  for (const auto& cfg : configs) {
+    std::vector<Tuple> staged;
+    vmpi::run(1, [&](vmpi::Comm& comm) {
+      Relation ref(comm, cfg);
+      for (int rank = 0; rank < kRanks; ++rank) {
+        for (const auto& t : rows_from(rank)) ref.stage(t.view());
+      }
+      ref.materialize();
+      staged = ref.gather_to_root(0);
+    });
+    ASSERT_EQ(staged.size(), 60u);
+    vmpi::run(kRanks, [&](vmpi::Comm& comm) {
+      Relation r(comm, cfg);
+      r.load_facts(rows_from(comm.rank()));
+      expect_valid_trees(r);
+      const bool refresh = cfg.agg_mode == AggMode::kRefresh;
+      EXPECT_EQ(r.global_size(Version::kDelta), refresh ? 0u : 60u) << cfg.name;
+      const auto rows = r.gather_to_root(0);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(rows, staged) << cfg.name;
+      }
+    });
+  }
+}
+
+TEST(Relation, LoadFactsCountsOneSupportEventPerRow) {
+  vmpi::run(3, [&](vmpi::Comm& comm) {
+    Relation plain(comm, plain2());
+    Relation agg(comm, min3());
+    plain.enable_support_counts();
+    agg.enable_support_counts();
+    // Each rank sends {1,2} once; rank 0 also sends {7,8} twice.
+    std::vector<Tuple> ps = {Tuple{1, 2}};
+    // Each rank sends key (1,2) with its own value; rank 0 sends it twice.
+    std::vector<Tuple> as = {Tuple{1, 2, 10 + static_cast<value_t>(comm.rank())}};
+    if (comm.rank() == 0) {
+      ps.insert(ps.end(), {Tuple{7, 8}, Tuple{7, 8}});
+      as.push_back(Tuple{1, 2, 5});
+    }
+    plain.load_facts(ps);
+    agg.load_facts(as);
+    expect_valid_trees(plain);
+    expect_valid_trees(agg);
+    const Tuple p12{1, 2}, p78{7, 8};
+    if (plain.owner_rank(p12.view()) == comm.rank()) {
+      EXPECT_EQ(plain.support_of(p12.view()), 3u);
+    }
+    if (plain.owner_rank(p78.view()) == comm.rank()) {
+      EXPECT_EQ(plain.support_of(p78.view()), 2u);
+    }
+    const Tuple a12{1, 2, 0};
+    if (agg.owner_rank(a12.view()) == comm.rank()) {
+      EXPECT_EQ(agg.support_of(a12.prefix(2)), 4u);
+      EXPECT_EQ(agg.tree(Version::kFull).find_key(a12.prefix(2))[2], 5u);
+    }
+  });
+}
+
+TEST(Relation, LoadFactsIntoPopulatedRelationMerges) {
+  vmpi::run(3, [&](vmpi::Comm& comm) {
+    const bool lead = comm.rank() == 0;
+    Relation plain(comm, plain2());
+    std::vector<Tuple> first, second;
+    if (lead) {
+      for (value_t v = 1; v <= 10; ++v) first.push_back(Tuple{v, v});
+      for (value_t v = 5; v <= 15; ++v) second.push_back(Tuple{v, v});
+    }
+    plain.load_facts(first);
+    plain.load_facts(second);
+    expect_valid_trees(plain);
+    EXPECT_EQ(plain.global_size(Version::kFull), 15u);
+    EXPECT_EQ(plain.global_size(Version::kDelta), 5u);  // only the new rows
+    for (const auto& t : local_rows(plain, Version::kDelta)) EXPECT_GT(t[0], 10u);
+
+    Relation agg(comm, min3());
+    first.clear();
+    second.clear();
+    if (lead) {
+      for (value_t k = 0; k < 10; ++k) first.push_back(Tuple{k, k, 50});
+      for (value_t k = 0; k < 10; ++k) second.push_back(Tuple{k, k, k < 5 ? 20u : 70u});
+      for (value_t k = 10; k < 13; ++k) second.push_back(Tuple{k, k, 1});
+    }
+    agg.load_facts(first);
+    agg.load_facts(second);
+    expect_valid_trees(agg);
+    EXPECT_EQ(agg.global_size(Version::kFull), 13u);
+    EXPECT_EQ(agg.global_size(Version::kDelta), 8u);  // 5 ascended + 3 new
+    for (const auto& t : local_rows(agg, Version::kDelta)) {
+      EXPECT_TRUE(t[0] < 5 || t[0] >= 10) << t.to_string();
+    }
+    const auto rows = agg.gather_to_root(0);
+    if (lead) {
+      ASSERT_EQ(rows.size(), 13u);
+      for (const auto& t : rows) {
+        EXPECT_EQ(t[2], t[0] < 5 ? 20u : t[0] < 10 ? 50u : 1u) << t.to_string();
+      }
+    }
+  });
+}
+
+TEST(Relation, RestoreRoundTripsSnapshot) {
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    Relation r(comm, min3());
+    r.enable_support_counts();
+    std::vector<Tuple> slice;
+    for (value_t k = static_cast<value_t>(comm.rank()); k < 300; k += 2) {
+      slice.push_back(Tuple{k % 11, k, 100 + k});
+    }
+    r.load_facts(slice);
+    // A materialize so that delta differs from full.
+    for (value_t k = 0; k < 300; k += 7) {
+      const Tuple t{k % 11, k, k % 2 == 0 ? value_t{1} : value_t{1000}};
+      if (r.owner_rank(t.view()) == comm.rank()) r.stage(t.view());
+    }
+    r.materialize();
+    const auto snap = r.snapshot();
+    ASSERT_NE(snap.full, snap.delta);
+
+    // Mutate every part of the state, then roll back.
+    for (value_t k = 300; k < 340; ++k) {
+      const Tuple t{k % 11, k, 0};
+      if (r.owner_rank(t.view()) == comm.rank()) r.stage(t.view());
+    }
+    r.materialize();
+    const Tuple gone{3, 3, 0};
+    if (r.owner_rank(gone.view()) == comm.rank()) {
+      EXPECT_FALSE(r.retract_key(gone.prefix(2)).empty());
+    }
+    r.restore(snap);
+    expect_valid_trees(r);
+
+    const auto again = r.snapshot();
+    EXPECT_EQ(again.full, snap.full);
+    EXPECT_EQ(again.delta, snap.delta);
+    auto s1 = snap.support, s2 = again.support;
+    std::sort(s1.begin(), s1.end());
+    std::sort(s2.begin(), s2.end());
+    EXPECT_EQ(s1, s2);
+  });
+}
+
 TEST(Relation, ReshuffleToSameFanoutIsNoop) {
   vmpi::run(2, [&](vmpi::Comm& comm) {
     Relation r(comm, plain2());

@@ -64,11 +64,8 @@
 //     --retry-deadline S  hard per-frame ceiling before the retry budget
 //                         escalates to a typed abort (default 8; must be > 0)
 //     --nodes N           group the ranks into N modeled "nodes" for the
-//                         topology: locality-split byte accounting and the
-//                         hierarchical exchange (0 = flat, the default)
-//     --topology MODE     flat (default) | hier — hier routes the tuple
-//                         exchange through per-node aggregator ranks
-//                         (needs --nodes >= 1 to group ranks)
+//                         topology's locality-split byte accounting
+//                         (0 = flat, the default)
 //     --schedule NAME     linear | rd (default; alias recursive-doubling)
 //                         — collective schedule for allreduce/allgather;
 //                         results are bit-identical on either choice
@@ -122,7 +119,6 @@ struct Args {
   std::uint64_t skew_threshold = 0;  // 0 = heavy-hitter routing off
   std::size_t skew_max_keys = 16;
   int nodes = 0;
-  std::string topology = "flat";
   std::string schedule = "rd";
   std::string out_file;
 };
@@ -137,7 +133,7 @@ struct Args {
                "       [--serve] [--update-batch FILE]... [--lookup a,b,...]...\n"
                "       [--skew-threshold N] [--skew-max-keys N]\n"
                "       [--watchdog SECONDS] [--retry-max N] [--retry-backoff S]\n"
-               "       [--retry-deadline S] [--nodes N] [--topology flat|hier]\n"
+               "       [--retry-deadline S] [--nodes N]\n"
                "       [--schedule linear|rd] [--out FILE]\n";
   std::exit(2);
 }
@@ -262,11 +258,6 @@ Args parse(int argc, char** argv) {
       if (args.skew_max_keys == 0) usage("--skew-max-keys must be >= 1");
     } else if (flag == "--nodes") {
       number(args.nodes);
-    } else if (flag == "--topology") {
-      args.topology = next();
-      if (args.topology != "flat" && args.topology != "hier") {
-        usage(("unknown topology " + args.topology + " (expected flat or hier)").c_str());
-      }
     } else if (flag == "--schedule") {
       args.schedule = next();
       try {
@@ -402,7 +393,6 @@ int run_datalog(const Args& args) {
     }
     core::EngineConfig cfg;
     if (args.baseline) cfg = core::baseline_config();
-    if (args.topology == "hier") cfg.exchange = core::ExchangeAlgorithm::kHierarchical;
     const auto result = inst.run(cfg);
     if (comm.is_root()) {
       report(result);
@@ -660,17 +650,14 @@ int run(const Args& args) {
   const auto g = load_graph(args);
   std::cout << "graph '" << g.name << "': " << g.num_nodes << " nodes, " << g.num_edges()
             << " edges; " << args.ranks << " ranks\n";
-  if (args.nodes > 0 || args.schedule != "rd" || args.topology != "flat") {
+  if (args.nodes > 0 || args.schedule != "rd") {
     std::cout << "topology: "
               << vmpi::Topology::grouped(args.ranks, args.nodes).describe(args.ranks)
-              << ", exchange " << args.topology << ", schedule " << args.schedule << "\n";
+              << ", schedule " << args.schedule << "\n";
   }
 
   queries::QueryTuning tuning;
   if (args.baseline) tuning = queries::QueryTuning::baseline();
-  if (args.topology == "hier") {
-    tuning.engine.exchange = core::ExchangeAlgorithm::kHierarchical;
-  }
   tuning.edge_sub_buckets = args.sub_buckets;
   tuning.use_async = args.use_async;
   tuning.async.batch_rows = args.async_batch;

@@ -58,13 +58,6 @@ struct EngineConfig {
   /// before they hit the wire.
   bool router_preagg = true;
 
-  /// Probe-side strategy for the local join: sorted-batch with monotone
-  /// B-tree cursors (default), or the arrival-order baseline.  Output
-  /// fixpoints are bit-identical either way (router staging is
-  /// order-insensitive, DESIGN.md §6); this is a pure speed knob kept
-  /// switchable for A/B measurement.
-  ProbeKernel probe_kernel = ProbeKernel::kSorted;
-
   /// Safety net for runaway fixpoints (and the bound for refresh strata
   /// that forgot to set max_rounds).
   std::size_t max_iterations = 1'000'000;
@@ -103,8 +96,7 @@ struct StratumResult {
 };
 
 /// Whole-run local-join kernel counters, summed over ranks and rules.
-/// probe_seeks / probes is the descent-dedup ratio of the sorted kernel;
-/// bench/probe_kernel pairs these with the B-tree comparison counters.
+/// probe_seeks / probes is the descent-dedup ratio of the sorted kernel.
 struct JoinKernelTotals {
   std::uint64_t outer_tuples_shipped = 0;
   std::uint64_t probes = 0;

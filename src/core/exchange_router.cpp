@@ -1,8 +1,6 @@
 #include "core/exchange_router.hpp"
 
 #include <cassert>
-#include <cstring>
-#include <string>
 #include <unordered_map>
 
 #include "core/phase_scope.hpp"
@@ -10,40 +8,8 @@
 
 namespace paralagg::core {
 
-namespace {
-
-/// A hierarchical leg frame: the flush sequence word, then the groups.
-vmpi::TypedWriter<value_t> hier_writer(value_t seq) {
-  vmpi::TypedWriter<value_t> w;
-  w.put(seq);
-  return w;
-}
-
-/// Finish a leg frame; a leg with no rows stays zero bytes on the wire.
-vmpi::Bytes hier_take(vmpi::TypedWriter<value_t>& w) {
-  return w.elements() > 1 ? w.take() : vmpi::Bytes{};
-}
-
-/// Check a leg frame's sequence word against this flush and return the
-/// groups behind it (empty for an empty frame).
-std::span<const std::byte> open_hier(std::span<const std::byte> buf, value_t seq,
-                                     const char* leg) {
-  if (buf.empty()) return buf;
-  value_t got = 0;
-  if (buf.size() >= sizeof got) std::memcpy(&got, buf.data(), sizeof got);
-  if (buf.size() < sizeof got || got != seq) {
-    throw vmpi::FrameDecodeError(std::string("router: stale hierarchical ") + leg + " frame");
-  }
-  return buf.subspan(sizeof got);
-}
-
-}  // namespace
-
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo) {
-  // kHierarchical degrades to the dense matrix here: the two-level path
-  // needs the router's combine context to be worth its extra hops, and the
-  // intra-bucket shuffles this helper serves have none.
   return algo == ExchangeAlgorithm::kBruck ? comm.alltoallv_bruck(std::move(send))
                                            : comm.alltoallv(std::move(send));
 }
@@ -171,21 +137,16 @@ void ExchangeRouter::recycle() {
   }
 }
 
-void ExchangeRouter::stage_frame(std::span<const std::byte> frame, RouterFlushStats& st) {
-  decode_route_frame(frame, targets_, std::nullopt,
-                     [&](int, std::size_t id, std::span<const value_t> rows) {
-                       targets_[id]->stage_rows(rows);
-                       st.rows_staged += rows.size() / targets_[id]->arity();
-                     });
-}
-
 void ExchangeRouter::decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
                             RankProfile& profile) {
   PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
   for (const auto& buf : received) {
     // Zero-copy decode: the frame body is staged straight from the receive
     // buffer, no per-tuple materialization.
-    stage_frame(buf, st);
+    decode_route_frame(buf, targets_, [&](std::size_t id, std::span<const value_t> rows) {
+      targets_[id]->stage_rows(rows);
+      st.rows_staged += rows.size() / targets_[id]->arity();
+    });
   }
   profile.add_work(Phase::kDedupAgg, st.rows_staged);
 }
@@ -197,227 +158,16 @@ RouterFlushStats ExchangeRouter::flush(RankProfile& profile, ExchangeAlgorithm a
   st.rows_hot_routed = hot_routed_rows_;
   hot_routed_rows_ = 0;
 
-  const bool hier =
-      algo == ExchangeAlgorithm::kHierarchical && comm_->topology().node_size > 1;
-  const std::uint64_t seq = hier ? hier_seq_++ : 0;
-  std::vector<int> leaders;
   std::vector<vmpi::Bytes> received;
   {
     PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-    if (hier) {
-      {
-        // Leader election by load: the member with the most staged delta
-        // bytes aggregates, so the node's heaviest buffer never crosses
-        // the intra-node wire.  Election metadata, not payload — the
-        // allgather runs unaccounted (StatsPause) like the schedule
-        // bookkeeping, keeping byte totals election-invariant.
-        std::uint64_t my_load = 0;
-        for (const auto& rows : outgoing_) my_load += rows.size() * sizeof(value_t);
-        vmpi::StatsPause pause(*comm_);
-        leaders = comm_->topology().elect_leaders(comm_->allgather<std::uint64_t>(my_load));
-      }
-      st.elected_leader =
-          leaders[static_cast<std::size_t>(comm_->topology().node_of(comm_->rank()))];
-      auto send = pack_hier(st, leaders, seq);
-      profile.add_work(Phase::kAllToAll, st.rows_sent);
-      received = comm_->alltoallv_mailbox(std::move(send));
-      // Gather and scatter legs on top of the leaders' exchange (which
-      // records its own step); recorded on every rank so per-rank step
-      // counts stay uniform, as for the scheduled collectives' rounds.
-      comm_->account_steps(vmpi::Op::kAlltoallv, 2);
-    } else {
-      auto send = pack(st);
-      profile.add_work(Phase::kAllToAll, st.rows_sent);
-      received = exchange_alltoallv(*comm_, std::move(send), algo);
-    }
+    auto send = pack(st);
+    profile.add_work(Phase::kAllToAll, st.rows_sent);
+    received = exchange_alltoallv(*comm_, std::move(send), algo);
   }
   recycle();  // the exchange copied everything out already
-  if (hier) {
-    absorb_hier(received, st, profile, leaders, seq);
-  } else {
-    decode(received, st, profile);
-  }
+  decode(received, st, profile);
   return st;
-}
-
-std::vector<vmpi::Bytes> ExchangeRouter::pack_hier(RouterFlushStats& st,
-                                                   const std::vector<int>& leaders,
-                                                   std::uint64_t flush_seq) {
-  const int n = comm_->size();
-  const auto nsz = static_cast<std::size_t>(n);
-  const int me = comm_->rank();
-  const vmpi::Topology& topo = comm_->topology();
-  const int leader = leaders[static_cast<std::size_t>(topo.node_of(me))];
-  const int up_tag = kHierUpTagBase + static_cast<int>(flush_seq % kHierTagWindow);
-  const auto seq = static_cast<value_t>(flush_seq);
-
-  std::vector<vmpi::Bytes> send(nsz);
-
-  if (me != leader) {
-    // Member: ship every bucket to the node aggregator as one
-    // [seq][dst | route | count | rows]* frame, then return the all-empty
-    // send vector — exchanging it keeps the leaders-only call collective.
-    auto w = hier_writer(seq);
-    for (std::size_t d = 0; d < nsz; ++d) {
-      for (std::size_t id = 0; id < targets_.size(); ++id) {
-        auto& rows = bucket(id, d);
-        if (rows.empty()) continue;
-        const Relation& rel = *targets_[id];
-        if (preaggregate_) combine(rel, rows, st);
-        w.put(static_cast<value_t>(d));
-        w.put(static_cast<value_t>(id));
-        w.put(static_cast<value_t>(rows.size() / rel.arity()));
-        w.put_span(std::span<const value_t>(rows));
-        st.rows_sent += rows.size() / rel.arity();
-      }
-    }
-    const vmpi::Bytes frame = hier_take(w);
-    comm_->account_send(vmpi::Op::kAlltoallv, frame.size(), leader);
-    {
-      // The gather leg rides the faultable mailbox path, so injected
-      // drop/corrupt/delay hit it like any other message; stats pause
-      // because the bytes were just attributed to the collective above.
-      vmpi::StatsPause pause(*comm_);
-      comm_->isend(leader, up_tag, frame);
-    }
-    pending_rows_ = 0;
-    return send;
-  }
-
-  // Leader: merge own buckets with every member frame per (final dst,
-  // route).  The rows move into the merge scratch, so recycle() sees
-  // cleared buffers.
-  const std::vector<int> members = topo.node_members(me, n);
-  std::vector<std::vector<value_t>> merged(targets_.size() * nsz);
-  for (std::size_t id = 0; id < targets_.size(); ++id) {
-    for (std::size_t d = 0; d < nsz; ++d) {
-      auto& rows = bucket(id, d);
-      if (rows.empty()) continue;
-      merged[id * nsz + d] = std::move(rows);
-      rows.clear();
-    }
-  }
-  {
-    vmpi::StatsPause pause(*comm_);
-    for (std::size_t k = 1; k < members.size(); ++k) {
-      const vmpi::Bytes buf = comm_->recv(vmpi::kAnySource, up_tag);
-      decode_route_frame(open_hier(buf, seq, "gather"), targets_, DstRange{0, n},
-                         [&](int d, std::size_t id, std::span<const value_t> rows) {
-                           auto& acc = merged[id * nsz + static_cast<std::size_t>(d)];
-                           acc.insert(acc.end(), rows.begin(), rows.end());
-                         });
-    }
-  }
-
-  // Node-level pre-aggregation: one combine pass over each merged bucket
-  // collapses rows different members generated for the same key before
-  // they cross nodes — the volume reduction the two-level exchange buys.
-  if (preaggregate_) {
-    for (std::size_t id = 0; id < targets_.size(); ++id) {
-      const Relation& rel = *targets_[id];
-      for (std::size_t d = 0; d < nsz; ++d) {
-        auto& rows = merged[id * nsz + d];
-        if (rows.empty()) continue;
-        RouterFlushStats node_st;
-        combine(rel, rows, node_st);
-        st.rows_node_merged += node_st.rows_combined;
-      }
-    }
-  }
-
-  // One frame per destination node, addressed to its elected leader; the
-  // final destination travels in-band so the peer leader can scatter.
-  for (const int peer : leaders) {
-    auto w = hier_writer(seq);
-    for (const int d : topo.node_members(peer, n)) {
-      for (std::size_t id = 0; id < targets_.size(); ++id) {
-        const auto& rows = merged[id * nsz + static_cast<std::size_t>(d)];
-        if (rows.empty()) continue;
-        const Relation& rel = *targets_[id];
-        w.put(static_cast<value_t>(d));
-        w.put(static_cast<value_t>(id));
-        w.put(static_cast<value_t>(rows.size() / rel.arity()));
-        w.put_span(std::span<const value_t>(rows));
-        st.rows_sent += rows.size() / rel.arity();
-      }
-    }
-    send[static_cast<std::size_t>(peer)] = hier_take(w);
-  }
-  pending_rows_ = 0;
-  return send;
-}
-
-void ExchangeRouter::absorb_hier(const std::vector<vmpi::Bytes>& received,
-                                 RouterFlushStats& st, RankProfile& profile,
-                                 const std::vector<int>& leaders, std::uint64_t flush_seq) {
-  const int n = comm_->size();
-  const int me = comm_->rank();
-  const vmpi::Topology& topo = comm_->topology();
-  const int leader = leaders[static_cast<std::size_t>(topo.node_of(me))];
-  const int down_tag = kHierDownTagBase + static_cast<int>(flush_seq % kHierTagWindow);
-  const auto seq = static_cast<value_t>(flush_seq);
-
-  if (me != leader) {
-    // Member: the leaders' exchange delivered only empties here; the node
-    // rows arrive as one [seq][route | count | rows]* scatter frame.
-    vmpi::Bytes buf;
-    {
-      PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-      vmpi::StatsPause pause(*comm_);
-      buf = comm_->recv(leader, down_tag);
-    }
-    PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
-    stage_frame(open_hier(buf, seq, "scatter"), st);
-    profile.add_work(Phase::kDedupAgg, st.rows_staged);
-    return;
-  }
-
-  // Leader: split every arriving leader frame by final destination —
-  // stage own rows, forward the rest as one frame per member.
-  // Node ranks are contiguous, so member index == d - node_base (the
-  // elected leader may sit anywhere in the block, hence base, not me).
-  const int base = topo.node_base(me);
-  const std::vector<int> members = topo.node_members(me, n);
-  std::vector<std::vector<value_t>> fwd(members.size() * targets_.size());
-  {
-    PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
-    const DstRange node{base, base + static_cast<int>(members.size())};
-    for (const auto& buf : received) {
-      decode_route_frame(open_hier(buf, seq, "leaders"), targets_, node,
-                         [&](int d, std::size_t id, std::span<const value_t> rows) {
-                           if (d == me) {
-                             targets_[id]->stage_rows(rows);
-                             st.rows_staged += rows.size() / targets_[id]->arity();
-                           } else {
-                             const auto member = static_cast<std::size_t>(d - base);
-                             auto& acc = fwd[member * targets_.size() + id];
-                             acc.insert(acc.end(), rows.begin(), rows.end());
-                           }
-                         });
-    }
-    profile.add_work(Phase::kDedupAgg, st.rows_staged);
-  }
-  {
-    PhaseScope scope(*comm_, profile, Phase::kAllToAll);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const int m = members[i];
-      if (m == me) continue;  // own rows were staged above
-      auto w = hier_writer(seq);
-      for (std::size_t id = 0; id < targets_.size(); ++id) {
-        const auto& rows = fwd[i * targets_.size() + id];
-        if (rows.empty()) continue;
-        const Relation& rel = *targets_[id];
-        w.put(static_cast<value_t>(id));
-        w.put(static_cast<value_t>(rows.size() / rel.arity()));
-        w.put_span(std::span<const value_t>(rows));
-      }
-      const vmpi::Bytes frame = hier_take(w);
-      comm_->account_send(vmpi::Op::kAlltoallv, frame.size(), m);
-      // Faultable, like the gather leg.
-      vmpi::StatsPause pause(*comm_);
-      comm_->isend(m, down_tag, frame);
-    }
-  }
 }
 
 }  // namespace paralagg::core

@@ -37,7 +37,6 @@
 // the same relations in the same order (SPMD, like everything else here).
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -51,56 +50,27 @@ namespace paralagg::core {
 enum class ExchangeAlgorithm : std::uint8_t {
   kDense,  // matrix alltoallv (bandwidth-optimal)
   kBruck,  // log-round relay (message-count-optimal; see vmpi::Comm)
-  /// Two-level topology-aware exchange: every node's aggregator rank —
-  /// elected per flush by staged delta bytes (vmpi::Topology::
-  /// elect_leaders; ties to the lowest rank) so the heaviest member merges
-  /// in place — pre-merges the node's buffered deltas through the
-  /// sender-side combine, a leaders-only mailbox alltoallv carries the
-  /// merged frames across nodes, and each leader scatters the arrivals
-  /// intra-node.  3 steps instead of 1, but the
-  /// cross-node volume shrinks by whatever the node-level MIN/MAX merge
-  /// collapses.  Router flushes only; the raw exchange_alltoallv helper
-  /// (intra-bucket shuffles, no combine context) degrades it to kDense.
-  /// Under a flat topology (node_size 1) it IS kDense.
-  kHierarchical,
 };
 
 /// One collective tuple exchange under the chosen algorithm.  Collective.
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo);
 
-/// Destination ranks a hierarchical leg frame may name: [lo, hi).
-struct DstRange {
-  int lo;
-  int hi;
-};
-
 /// Walk one tuple frame `[ route_id | row_count | rows ]*` and call
-/// `on_rows(dst, route_id, rows)` per group.  With `dsts`, every group
-/// opens with its final destination rank, which must lie in the range
-/// (the hierarchical legs); without, dst is -1.  Every structural check
-/// the decoders rely on lives here — whole-word size, registered route,
-/// header and rows inside the frame — so a malformed frame throws
+/// `on_rows(route_id, rows)` per group.  Every structural check the
+/// decoders rely on lives here — whole-word size, registered route, header
+/// and rows inside the frame — so a malformed frame throws
 /// vmpi::FrameDecodeError and never reads past the buffer.
 template <typename F>
 void decode_route_frame(std::span<const std::byte> frame, std::span<Relation* const> targets,
-                        std::optional<DstRange> dsts, F&& on_rows) {
+                        F&& on_rows) {
   if (frame.size() % sizeof(value_t) != 0) {
     throw vmpi::FrameDecodeError("router: frame size is not a whole word count");
   }
   vmpi::TypedReader<value_t> r(frame);
-  const std::size_t header = dsts ? 3 : 2;
   while (!r.done()) {
-    if (r.remaining() < header) {
+    if (r.remaining() < 2) {
       throw vmpi::FrameDecodeError("router: frame truncated inside a group header");
-    }
-    int dst = -1;
-    if (dsts) {
-      const value_t d = r.get();
-      if (d < static_cast<value_t>(dsts->lo) || d >= static_cast<value_t>(dsts->hi)) {
-        throw vmpi::FrameDecodeError("router: frame names a destination outside its range");
-      }
-      dst = static_cast<int>(d);
     }
     const value_t id = r.get();
     if (id >= targets.size()) {
@@ -112,8 +82,7 @@ void decode_route_frame(std::span<const std::byte> frame, std::span<Relation* co
     if (count > r.remaining() / arity) {
       throw vmpi::FrameDecodeError("router: frame row count overruns payload");
     }
-    on_rows(dst, static_cast<std::size_t>(id),
-            r.take_span(static_cast<std::size_t>(count) * arity));
+    on_rows(static_cast<std::size_t>(id), r.take_span(static_cast<std::size_t>(count) * arity));
   }
 }
 
@@ -125,15 +94,6 @@ struct RouterFlushStats {
   /// Rows whose join key was hot at emit time: routed to the H2 spread
   /// rank instead of the owner (skew-optimal layout, DESIGN.md §13).
   std::uint64_t rows_hot_routed = 0;
-  /// Rows the node aggregator collapsed across its members' contributions
-  /// before the leaders-only exchange (hierarchical path, leaders only) —
-  /// the cross-node bytes the two-level exchange avoided.
-  std::uint64_t rows_node_merged = 0;
-  /// The rank this flush elected as this rank's node aggregator
-  /// (hierarchical path only; -1 elsewhere).  Election is by staged delta
-  /// bytes with ties to the lowest rank, so the member already holding the
-  /// most data merges in place instead of shipping it up first.
-  int elected_leader = -1;
 };
 
 class ExchangeRouter {
@@ -172,14 +132,6 @@ class ExchangeRouter {
   /// value_t) — smaller buffers are cheap to keep warm across flushes.
   static constexpr std::size_t kShrinkFloorValues = std::size_t{1} << 15;
 
-  // Tag spaces of the hierarchical exchange's intra-node legs (member ->
-  // leader gather, leader -> member scatter).  Disjoint from every vmpi
-  // and async tag space; rotated per flush so an injected duplicate or
-  // delayed frame can never match a later flush's receive.
-  static constexpr int kHierUpTagBase = 0x48A10000;
-  static constexpr int kHierDownTagBase = 0x48A20000;
-  static constexpr std::uint64_t kHierTagWindow = 4096;
-
   [[nodiscard]] std::vector<value_t>& bucket(std::size_t route_id, std::size_t dest) {
     return outgoing_[route_id * static_cast<std::size_t>(comm_->size()) + dest];
   }
@@ -193,37 +145,10 @@ class ExchangeRouter {
   /// Clear the buckets, retaining capacity across flushes; shrink only a
   /// bucket whose capacity dwarfs what it just carried.
   void recycle();
-  /// Stage one `[route | count | rows]*` frame into the target relations.
-  void stage_frame(std::span<const std::byte> frame, RouterFlushStats& st);
-  /// Stage every frame of a finished exchange (Phase::kDedupAgg).
+  /// Stage every `[route | count | rows]*` frame of a finished exchange
+  /// (Phase::kDedupAgg).
   void decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
               RankProfile& profile);
-
-  // -- hierarchical (two-level) exchange --------------------------------------
-  //
-  // Every leg frame opens with the flush sequence word, so a stale
-  // frame from an earlier flush fails loudly even if the tag window wrapped.
-  //
-  // flush() elects each node's leader, then pack_hier: members serialize
-  // their buckets as [dst|route|count|rows]* frames (faultable isend)
-  // toward their node leader; the leader merges its own buckets with the
-  // arrivals per (dst, route), runs the combine pass once per merged
-  // bucket (the node-level pre-aggregation), and packs one frame per
-  // destination *node*.  Every rank then joins the leaders-only mailbox
-  // alltoallv (non-leaders all-empty, which keeps the call collective).
-  // absorb_hier: leaders unpack per final destination, stage their own
-  // rows, and scatter one frame per member; members recv + stage.  Leg
-  // bytes are attributed to Op::kAlltoallv with intra-node locality; the
-  // leaders' exchange records its own cross-node bytes.  `leaders` is the
-  // per-node election of this flush, node-indexed.
-
-  /// Up-gather + node merge + leaders-only send vector.  Returns the
-  /// buffers to exchange (empty everywhere for non-leader ranks).
-  std::vector<vmpi::Bytes> pack_hier(RouterFlushStats& st, const std::vector<int>& leaders,
-                                     std::uint64_t flush_seq);
-  /// Decode the leaders' exchange, scatter intra-node, stage everything.
-  void absorb_hier(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
-                   RankProfile& profile, const std::vector<int>& leaders, std::uint64_t flush_seq);
 
   vmpi::Comm* comm_;
   bool preaggregate_;
@@ -233,7 +158,6 @@ class ExchangeRouter {
   std::uint64_t pending_rows_ = 0;
   std::uint64_t loopback_rows_ = 0;
   std::uint64_t hot_routed_rows_ = 0;
-  std::uint64_t hier_seq_ = 0;   // hierarchical flush sequence (tag rotation)
 };
 
 }  // namespace paralagg::core

@@ -65,14 +65,12 @@ struct IterationRecord {
   std::array<std::uint64_t, kPhaseCount> work{};
   std::array<std::uint64_t, kPhaseCount> bytes{};      // remote bytes sent in phase
   /// Subset of `bytes` that crossed a node boundary under the configured
-  /// vmpi::Topology (flat topology: equal to `bytes`).  The split is what
-  /// the hierarchical exchange and the schedule choice move.
+  /// vmpi::Topology (flat topology: equal to `bytes`).
   std::array<std::uint64_t, kPhaseCount> cross_bytes{};
   std::array<std::uint64_t, kPhaseCount> exchanges{};  // collective exchange rounds in phase
   /// Schedule steps (latency-bearing rounds) the collectives in this phase
-  /// took: n-1 under kLinear, ceil(log2 n) under the log-step schedules, 3
-  /// for a hierarchical flush.  Steps x latency is the sync term of the
-  /// modelled parallel time.
+  /// took: n-1 under kLinear, ceil(log2 n) under the log-step schedules.
+  /// Steps x latency is the sync term of the modelled parallel time.
   std::array<std::uint64_t, kPhaseCount> steps{};
   /// Wall seconds parked in blocking communication during the phase
   /// (CommStats::wait_seconds deltas).  The thread-CPU clock cannot see
@@ -265,8 +263,8 @@ struct CostModel {
   /// byte costs cross_node_cost_ratio link-bytes, an intra-node byte one —
   /// and the synchronization term charges the *measured* schedule steps
   /// one collective_latency each instead of assuming a fixed collective
-  /// count per iteration.  This is the number the log-step schedules and
-  /// the hierarchical exchange are designed to shrink.
+  /// count per iteration.  This is the number the log-step schedules are
+  /// designed to shrink.
   [[nodiscard]] double project_topology(const ProfileSummary& p) const {
     double total = 0;
     std::uint64_t steps = 0;

@@ -88,7 +88,7 @@ std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            ExchangeRouter& router, std::optional<JoinOrderPolicy> forced,
-                           ExchangeAlgorithm exchange_algo, ProbeKernel kernel) {
+                           ExchangeAlgorithm exchange_algo) {
   RuleExecStats stats;
   const std::uint32_t route = router.add_target(rule.out.target);
   const std::size_t jcc = rule.a->jcc();
@@ -153,102 +153,75 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
       emit_output(rule.out, a, b, scratch, router, route);
     };
 
-    if (kernel == ProbeKernel::kUnsorted) {
-      // Baseline: probe in arrival order, one full descent per outer row.
-      for (std::size_t i = 0; i < nrows; ++i) {
-        const auto orow = row_of(i);
+    // Sorted-batch kernel: order probes by join-key prefix so the
+    // monotone cursor advances through the inner tree once, and share
+    // one seek across a run of equal keys (the match range is recorded
+    // on the first probe and replayed for the rest — filters still run
+    // per pair, so semantics are unchanged).  Output *content* is
+    // unaffected by the reordering: router staging is order-insensitive
+    // (DESIGN.md §6).
+    std::vector<std::uint32_t> order(nrows);
+    std::iota(order.begin(), order.end(), 0);
+    // stable_sort keeps arrival order within equal keys; comparisons
+    // here are plain (not counted against the B-tree).
+    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+      return storage::compare_prefix(row_of(x), row_of(y), jcc) < 0;
+    });
+
+    auto cursor = inner_tree.cursor();
+    std::size_t g = 0;
+    while (g < nrows) {
+      const auto gkey = row_of(order[g]).first(jcc);
+      std::size_t ge = g + 1;
+      while (ge < nrows && storage::compare_prefix(row_of(order[ge]), gkey, jcc) == 0) {
+        ++ge;
+      }
+
+      // Lazy: antijoin pre-filters may reject the whole group without
+      // ever touching the tree.
+      bool sought = false;
+      storage::TupleBTree::Cursor::Position begin{};
+      std::size_t nmatch = 0;
+      const auto ensure_range = [&]() {
+        if (sought) return;
+        cursor.seek(gkey);
+        ++stats.probe_seeks;
+        begin = cursor.position();
+        while (cursor.valid() && cursor.matches(gkey)) {
+          ++nmatch;
+          cursor.next();
+        }
+        sought = true;
+      };
+
+      for (std::size_t k = g; k < ge; ++k) {
+        const auto orow = row_of(order[k]);
         ++stats.probes;
         if (rule.anti) {
           if (rule.pre_filter && rule.pre_filter->eval(orow, kNoMatch.view()) == 0) {
-            continue;  // the rule never considers this A row
+            continue;
           }
-          ++stats.probe_seeks;
+          ensure_range();
           bool exists = false;
-          inner_tree.scan_prefix(orow.first(jcc), [&](std::span<const value_t> irow) {
-            if (rule.filter && rule.filter->eval(orow, irow) == 0) return;
+          cursor.restore(begin);
+          for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
+            if (rule.filter && rule.filter->eval(orow, cursor.row()) == 0) continue;
             exists = true;
-          });
+            break;
+          }
           if (!exists) {
             ++stats.matches;
             emit_output(rule.out, orow, kNoMatch.view(), scratch, router, route);
           }
           continue;
         }
-        ++stats.probe_seeks;
-        inner_tree.scan_prefix(orow.first(jcc),
-                               [&](std::span<const value_t> irow) { emit_pair(orow, irow); });
-      }
-    } else {
-      // Sorted-batch kernel: order probes by join-key prefix so the
-      // monotone cursor advances through the inner tree once, and share
-      // one seek across a run of equal keys (the match range is recorded
-      // on the first probe and replayed for the rest — filters still run
-      // per pair, so semantics are unchanged).  Output *content* is
-      // unaffected by the reordering: router staging is order-insensitive
-      // (DESIGN.md §6).
-      std::vector<std::uint32_t> order(nrows);
-      std::iota(order.begin(), order.end(), 0);
-      // stable_sort keeps arrival order within equal keys; comparisons
-      // here are plain (not counted against the B-tree).
-      std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-        return storage::compare_prefix(row_of(x), row_of(y), jcc) < 0;
-      });
-
-      auto cursor = inner_tree.cursor();
-      std::size_t g = 0;
-      while (g < nrows) {
-        const auto gkey = row_of(order[g]).first(jcc);
-        std::size_t ge = g + 1;
-        while (ge < nrows && storage::compare_prefix(row_of(order[ge]), gkey, jcc) == 0) {
-          ++ge;
+        ensure_range();
+        cursor.restore(begin);
+        for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
+          emit_pair(orow, cursor.row());
         }
-
-        // Lazy: antijoin pre-filters may reject the whole group without
-        // ever touching the tree.
-        bool sought = false;
-        storage::TupleBTree::Cursor::Position begin{};
-        std::size_t nmatch = 0;
-        const auto ensure_range = [&]() {
-          if (sought) return;
-          cursor.seek(gkey);
-          ++stats.probe_seeks;
-          begin = cursor.position();
-          while (cursor.valid() && cursor.matches(gkey)) {
-            ++nmatch;
-            cursor.next();
-          }
-          sought = true;
-        };
-
-        for (std::size_t k = g; k < ge; ++k) {
-          const auto orow = row_of(order[k]);
-          ++stats.probes;
-          if (rule.anti) {
-            if (rule.pre_filter && rule.pre_filter->eval(orow, kNoMatch.view()) == 0) {
-              continue;
-            }
-            ensure_range();
-            bool exists = false;
-            cursor.restore(begin);
-            for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
-              if (rule.filter && rule.filter->eval(orow, cursor.row()) == 0) continue;
-              exists = true;
-              break;
-            }
-            if (!exists) {
-              ++stats.matches;
-              emit_output(rule.out, orow, kNoMatch.view(), scratch, router, route);
-            }
-            continue;
-          }
-          ensure_range();
-          cursor.restore(begin);
-          for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
-            emit_pair(orow, cursor.row());
-          }
-        }
-        g = ge;
       }
+      g = ge;
     }
     stats.outputs = stats.matches;
     profile.add_work(Phase::kLocalJoin, stats.probes + stats.matches);
@@ -280,9 +253,9 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
 
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            std::optional<JoinOrderPolicy> forced,
-                           ExchangeAlgorithm exchange_algo, ProbeKernel kernel) {
+                           ExchangeAlgorithm exchange_algo) {
   ExchangeRouter router(comm);
-  const auto stats = execute_join(comm, profile, rule, router, forced, exchange_algo, kernel);
+  const auto stats = execute_join(comm, profile, rule, router, forced, exchange_algo);
   router.flush(profile, exchange_algo);
   return stats;
 }

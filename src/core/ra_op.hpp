@@ -71,19 +71,6 @@ struct CopyRule {
 
 using Rule = std::variant<JoinRule, CopyRule>;
 
-/// Probe-side strategy for the local join kernel.
-enum class ProbeKernel {
-  /// Sorted-batch (default): decode the received outer buffers into one
-  /// flat probe batch, sort it by join-key prefix, share a single B-tree
-  /// seek across equal keys (replaying the recorded match range), and
-  /// drive everything through a monotone TupleBTree::Cursor so
-  /// consecutive seeks resume from the current leaf.
-  kSorted,
-  /// Arrival-order probing with a fresh root descent per outer row — the
-  /// pre-cursor baseline, kept for A/B measurement (bench/probe_kernel).
-  kUnsorted,
-};
-
 struct RuleExecStats {
   bool a_was_outer = false;
   bool planned_dynamically = false;
@@ -103,8 +90,7 @@ struct RuleExecStats {
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            ExchangeRouter& router,
                            std::optional<JoinOrderPolicy> forced = std::nullopt,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense,
-                           ProbeKernel kernel = ProbeKernel::kSorted);
+                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
 
 /// Run one copy/project pass into `router`.  Local (copies only emit).
 RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
@@ -116,8 +102,7 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
 /// router instead.
 RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRule& rule,
                            std::optional<JoinOrderPolicy> forced = std::nullopt,
-                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense,
-                           ProbeKernel kernel = ProbeKernel::kSorted);
+                           ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
 RuleExecStats execute_copy(vmpi::Comm& comm, RankProfile& profile, const CopyRule& rule,
                            ExchangeAlgorithm exchange = ExchangeAlgorithm::kDense);
 

@@ -36,7 +36,7 @@ std::span<const Tuple> rows_of(const Map& m, Relation* r) {
 /// caller's knobs (see ServingConfig::engine).
 core::EngineConfig serving_engine_config(core::EngineConfig e) {
   e.router_preagg = false;                       // support counts need per-event staging
-  e.exchange = core::ExchangeAlgorithm::kDense;  // leader merges would collapse events
+  e.exchange = core::ExchangeAlgorithm::kDense;  // the one exchange its fault legs cover
   e.balance.enabled = false;                     // owners must stay put mid-service
   e.skew.enabled = false;                        // retraction needs owner placement
   e.checkpoint_every = 0;                        // serving checkpoints at batch boundaries

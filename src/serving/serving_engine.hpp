@@ -74,11 +74,12 @@ struct ServingError : std::runtime_error {
 struct ServingConfig {
   /// Engine knobs for the resident engine.  Serving forces the settings
   /// its bookkeeping depends on: sender-side pre-aggregation OFF (support
-  /// counts need per-event staging), dense exchange (node-leader merges
-  /// would collapse events), spatial balancing OFF (support counts are
-  /// keyed locally and must not migrate mid-service), and the engine's
-  /// own iteration checkpointing OFF (serving checkpoints at batch
-  /// boundaries instead).
+  /// counts need per-event staging), dense exchange (the one exchange its
+  /// fault and rollback paths are tested under: only `exchange_flat`'s
+  /// mutation frames ride the faultable mailboxes), spatial balancing OFF
+  /// (support counts are keyed locally and must not migrate mid-service),
+  /// and the engine's own iteration checkpointing OFF (serving checkpoints
+  /// at batch boundaries instead).
   core::EngineConfig engine;
   /// Manifest path for warm starts and rolling checkpoints.  Empty =
   /// cold-only, no manifests.

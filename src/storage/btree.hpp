@@ -28,8 +28,8 @@
 // The tree also keeps operation counters (comparisons, node visits) which
 // the benchmark harness uses for modelled scaling: the paper's Fig. 5
 // analysis attributes low-core-count cost to B-tree operations, and these
-// counters make that attribution reproducible (`bench/probe_kernel`
-// reports comparisons-per-probe from them).
+// counters make that attribution reproducible (perfbench reports
+// comparisons per fixpoint row from them).
 
 #include <cstdint>
 #include <memory>

@@ -340,22 +340,6 @@ class Comm {
   [[nodiscard]] const Topology& topology() const { return world_->topo_; }
   [[nodiscard]] CollectiveSchedule schedule() const { return world_->schedule_; }
 
-  /// Record `bytes` moved toward `dst` under `op`, locality-classified
-  /// against the world topology (self -> local, same node -> intra-node
-  /// remote, otherwise cross-node remote).  No-op under StatsPause.  For
-  /// callers (the hierarchical router) that move data over raw p2p legs
-  /// but attribute it to a collective op.
-  void account_send(Op op, std::uint64_t bytes, int dst) {
-    if (!stats_enabled_) return;
-    const bool remote = dst != rank_;
-    stats().record_send(op, bytes, remote,
-                        remote && !world_->topo_.same_node(rank_, dst));
-  }
-  /// Record schedule steps under `op`; no-op under StatsPause.
-  void account_steps(Op op, std::uint64_t n) {
-    if (stats_enabled_) stats().record_steps(op, n);
-  }
-
   /// Engines call this at every iteration boundary (BSP) or local round
   /// (async): releases delayed messages, then applies the FaultPlan's
   /// rank-level faults for the new epoch — FaultInjectedDeath on the kill
@@ -448,7 +432,7 @@ class Comm {
   /// alltoallv exactly — one Op::kAlltoallv call and one step, bytes under
   /// kAlltoallv, none counted as p2p — plus the parked time in
   /// wait_seconds.  The exchange for traffic that must stay inside the
-  /// fault model (serving mutations, the hierarchical leaders' exchange).
+  /// fault model (serving mutations).
   std::vector<Bytes> alltoallv_mailbox(std::vector<Bytes> send);
 
   /// Same contract as alltoallv, routed through ceil(log2 n) point-to-point
@@ -623,8 +607,8 @@ class Comm {
 
   // Scheduled-collective relay tags (recursive doubling / dissemination
   // rounds), disjoint from the mailbox alltoallv (0x41A2....),
-  // Bruck (0x42......), async (0x51A5..../0x53AF....), and hierarchical
-  // router (0x48A.....) spaces.  Rotated per call like the Bruck tags.
+  // Bruck (0x42......) and async (0x51A5..../0x53AF....) spaces.  Rotated
+  // per call like the Bruck tags.
   static constexpr int kSchedTagBase = 0x44000000;
   static constexpr std::uint64_t kSchedTagWindow = 2048;
   static constexpr int kSchedRoundsPerCall = 64;  // log2(nranks) bound

@@ -10,10 +10,9 @@
 // schedule is replayable from its seed alone.
 //
 // Scope: only mailbox *messages* sent via isend are faultable (isend/
-// recv/drain, the mailbox alltoallv, the Bruck relay, and the
-// hierarchical router's intra-node legs all ride that path).  The
-// slot/matrix collectives (bcast, gather, dense alltoallv) and the
-// scheduled symmetric collectives (allreduce / allgather on any
+// recv/drain, the mailbox alltoallv and the Bruck relay all ride that
+// path).  The slot/matrix collectives (bcast, gather, dense alltoallv) and
+// the scheduled symmetric collectives (allreduce / allgather on any
 // CollectiveSchedule — their log-step relay rounds use a direct reliable
 // enqueue) model the reliable transport underneath MPI's collectives;
 // they are perturbed only indirectly, via the stall/kill epochs and the

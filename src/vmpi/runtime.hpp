@@ -28,9 +28,9 @@ struct RunOptions {
   /// A fault sweep sets a few seconds: long enough for slow CI, short
   /// enough that an injected hang fails the test instead of the runner.
   double watchdog_seconds = 0;
-  /// Rank-to-node grouping for locality accounting and the hierarchical
-  /// exchange (vmpi/topology.hpp).  Default: flat (every rank its own
-  /// node, all remote traffic cross-node).
+  /// Rank-to-node grouping for locality accounting (vmpi/topology.hpp).
+  /// Default: flat (every rank its own node, all remote traffic
+  /// cross-node).
   Topology topology{};
   /// Schedule for the symmetric collectives; results are bit-identical on
   /// any choice.  Default: log-step recursive doubling (kLinear restores

@@ -109,7 +109,6 @@ class TypedWriter {
     if (!vs.empty()) std::memcpy(buf_.data() + old, vs.data(), vs.size_bytes());
   }
 
-  [[nodiscard]] std::size_t elements() const { return buf_.size() / sizeof(T); }
   [[nodiscard]] bool empty() const { return buf_.empty(); }
 
   /// Relinquish the underlying byte buffer (ready for the wire).

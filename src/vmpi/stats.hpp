@@ -61,13 +61,11 @@ struct CommStats {
   /// Subset of bytes_sent whose destination lives on a *different node*
   /// under the World's Topology (vmpi/topology.hpp).  Flat topology makes
   /// this identical to bytes_sent; a grouped topology splits remote
-  /// traffic into cheap intra-node and expensive cross-node shares — the
-  /// quantity the hierarchical exchange exists to shrink.
+  /// traffic into cheap intra-node and expensive cross-node shares.
   std::array<std::uint64_t, kOpCount> bytes_cross_node{};
   /// Schedule steps (latency-bound rounds) per op: n-1 for the linear
   /// collectives, ceil(log2 n) for recursive-doubling /
-  /// dissemination and the Bruck relay, 1 for a dense alltoallv, 3 for the
-  /// hierarchical exchange (gather, leaders, scatter).
+  /// dissemination and the Bruck relay, 1 for a dense alltoallv.
   std::array<std::uint64_t, kOpCount> steps{};
   std::array<std::uint64_t, kOpCount> calls{};
   std::uint64_t messages_sent = 0;      // p2p messages enqueued by isend
@@ -115,9 +113,9 @@ struct CommStats {
     (remote ? bytes_sent : bytes_local)[i] += bytes;
   }
   /// Locality-classified variant: `cross` marks bytes whose destination is
-  /// on another node (implies remote).  Comm::account_send derives the
-  /// flags from the World's Topology; call sites without a Comm can pass
-  /// cross == remote (the flat-fabric classification).
+  /// on another node (implies remote).  Comm derives the flags from the
+  /// World's Topology; call sites without a Comm can pass cross == remote
+  /// (the flat-fabric classification).
   void record_send(Op op, std::uint64_t bytes, bool remote, bool cross) {
     const auto i = static_cast<std::size_t>(op);
     (remote ? bytes_sent : bytes_local)[i] += bytes;

@@ -21,37 +21,6 @@ CollectiveSchedule parse_schedule(const std::string& name) {
                               "' (expected linear | rd | recursive-doubling)");
 }
 
-std::vector<int> Topology::node_members(int rank, int nranks) const {
-  std::vector<int> out;
-  const int first = leader_of(rank);
-  for (int r = first; r < first + node_size && r < nranks; ++r) out.push_back(r);
-  return out;
-}
-
-std::vector<int> Topology::leaders(int nranks) const {
-  std::vector<int> out;
-  for (int r = 0; r < nranks; r += node_size) out.push_back(r);
-  return out;
-}
-
-std::vector<int> Topology::elect_leaders(std::span<const std::uint64_t> loads) const {
-  const int nranks = static_cast<int>(loads.size());
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(node_count(nranks)));
-  for (int base = 0; base < nranks; base += node_size) {
-    int best = base;
-    for (int r = base + 1; r < base + node_size && r < nranks; ++r) {
-      // Strictly greater: equal loads keep the lower rank (deterministic,
-      // and degenerates to leader_of when every member reports the same).
-      if (loads[static_cast<std::size_t>(r)] > loads[static_cast<std::size_t>(best)]) {
-        best = r;
-      }
-    }
-    out.push_back(best);
-  }
-  return out;
-}
-
 Topology Topology::grouped(int nranks, int nodes) {
   Topology t;
   if (nodes <= 0 || nodes >= nranks) {

@@ -6,8 +6,7 @@
 // ranks of one node crosses shared memory, traffic between nodes crosses
 // the fabric — and at 16-64 ranks the fabric, not the local join, is the
 // critical path.  The flat substrate cannot express that distinction, so
-// every communication-avoidance claim about *placement* (hierarchical
-// exchange, leader pre-aggregation) was unmeasurable.
+// every communication-avoidance claim about *placement* was unmeasurable.
 //
 // A Topology groups the ranks of a World into contiguous fixed-size
 // "nodes": ranks [0, node_size) form node 0, [node_size, 2*node_size)
@@ -15,8 +14,6 @@
 // bookkeeping — no data moves differently — but every byte the substrate
 // accounts is classified intra- vs cross-node against it, and the modelled
 // cost of a cross-node byte is `cross_cost_ratio` times an intra-node one.
-// Node leaders (the lowest rank of each node) are the aggregator ranks the
-// hierarchical exchange elects.
 //
 // The default (node_size = 1) is the flat fabric: every rank its own node,
 // every remote byte cross-node — bit-compatible with the pre-topology
@@ -24,9 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 namespace paralagg::vmpi {
 
@@ -64,27 +59,9 @@ struct Topology {
     return rank / node_size;
   }
   [[nodiscard]] bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
-  /// The first (lowest) rank of `rank`'s node — the contiguous block base.
-  [[nodiscard]] int node_base(int rank) const { return node_of(rank) * node_size; }
-  /// The *default* aggregator (leader) of `rank`'s node: its lowest rank.
-  /// With per-rank loads in hand, use elect_leaders instead — the
-  /// hierarchical exchange does, so the member already holding the most
-  /// data aggregates in place instead of shipping it intra-node first.
-  [[nodiscard]] int leader_of(int rank) const { return node_base(rank); }
-  [[nodiscard]] bool is_leader(int rank) const { return leader_of(rank) == rank; }
-  /// Load-based leader election: for each node, the member with the
-  /// largest load wins; ties break to the lowest rank, so every rank
-  /// folding the same load vector (e.g. from an allgather) elects
-  /// identically, and an all-equal vector reproduces leader_of.  Returns
-  /// one leader rank per node, node-indexed.  Pure function.
-  [[nodiscard]] std::vector<int> elect_leaders(std::span<const std::uint64_t> loads) const;
   [[nodiscard]] int node_count(int nranks) const {
     return (nranks + node_size - 1) / node_size;
   }
-  /// Members of `rank`'s node, leader first (ascending rank order).
-  [[nodiscard]] std::vector<int> node_members(int rank, int nranks) const;
-  /// All node leaders, ascending.
-  [[nodiscard]] std::vector<int> leaders(int nranks) const;
 
   [[nodiscard]] bool flat() const { return node_size == 1; }
 

@@ -9,7 +9,8 @@ if(NOT CLI)
 endif()
 
 # Flag/value pairs.  swing is not a collective schedule; --retry-max
-# overflows its 32-bit field.
+# overflows its 32-bit field; --topology is not a flag, so it must fail
+# as an unknown flag rather than parse as anything else.
 set(cases
   --nodes abc
   --ranks x
@@ -18,7 +19,8 @@ set(cases
   --schedule swing
   --rounds -1
   --watchdog 1.5x
-  --retry-max 99999999999)
+  --retry-max 99999999999
+  --topology hier)
 
 list(LENGTH cases n)
 math(EXPR last "${n} - 1")
@@ -29,8 +31,12 @@ foreach(i RANGE 0 ${last} 2)
   execute_process(
     COMMAND "${CLI}" sssp --synthetic chain --scale 4 --ranks 2 ${flag} ${value}
     RESULT_VARIABLE rc
-    OUTPUT_QUIET ERROR_QUIET)
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
   if(NOT rc STREQUAL "2")
     message(SEND_ERROR "paralagg_cli ${flag} ${value}: exit '${rc}', expected 2")
+  endif()
+  if(flag STREQUAL "--topology" AND NOT err MATCHES "unknown flag --topology")
+    message(SEND_ERROR "paralagg_cli ${flag} ${value}: not rejected as an unknown flag")
   endif()
 endforeach()

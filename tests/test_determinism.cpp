@@ -146,8 +146,7 @@ TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
   // The topology refactor's core invariant: node grouping, collective
   // schedule, and exchange routing are pure communication choices — every
   // combination must reach the bit-identical fixpoint because all folds
-  // stay in rank order and the hierarchical pre-merge uses the same
-  // deterministic aggregator as the dense path.
+  // stay in rank order.
   const auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 29});
   const auto sources = g.pick_sources(2);
   constexpr int kRanks = 8;
@@ -169,14 +168,12 @@ TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
        core::ExchangeAlgorithm::kDense, 0},
       {"rd/flat/bruck", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
        core::ExchangeAlgorithm::kBruck, 0},
-      {"rd/2x4/hier", vmpi::CollectiveSchedule::kRecursiveDoubling, 2,
-       core::ExchangeAlgorithm::kHierarchical, 0},
-      {"rd/4x2/hier", vmpi::CollectiveSchedule::kRecursiveDoubling, 4,
-       core::ExchangeAlgorithm::kHierarchical, 0},
+      {"rd/2x4/dense", vmpi::CollectiveSchedule::kRecursiveDoubling, 2,
+       core::ExchangeAlgorithm::kDense, 0},
       {"rd/flat/dense+skew", vmpi::CollectiveSchedule::kRecursiveDoubling, 0,
        core::ExchangeAlgorithm::kDense, 16},
-      {"rd/4x2/hier+skew", vmpi::CollectiveSchedule::kRecursiveDoubling, 4,
-       core::ExchangeAlgorithm::kHierarchical, 16},
+      {"rd/4x2/dense+skew", vmpi::CollectiveSchedule::kRecursiveDoubling, 4,
+       core::ExchangeAlgorithm::kDense, 16},
   };
 
   // reference[q] from the first variant; later variants must match.

@@ -134,14 +134,11 @@ TEST(FrameFuzz, EnvelopeDecoderDetectOnlyDeliversExactlyOrThrows) {
   fuzz_envelope(detect, 0xBEEF);
 }
 
-/// One well-formed router frame: `groups` random route groups, each
-/// optionally led by a destination rank in [0, nranks).
-Bytes route_frame(std::mt19937_64& rng, std::span<core::Relation* const> targets,
-                  bool with_dst, int nranks) {
+/// One well-formed router frame: up to three random route groups.
+Bytes route_frame(std::mt19937_64& rng, std::span<core::Relation* const> targets) {
   vmpi::TypedWriter<value_t> w;
   const std::size_t groups = rng() % 4;
   for (std::size_t g = 0; g < groups; ++g) {
-    if (with_dst) w.put(static_cast<value_t>(rng() % static_cast<std::uint64_t>(nranks)));
     const std::size_t id = rng() % targets.size();
     const std::size_t rows = rng() % 6;
     w.put(static_cast<value_t>(id));
@@ -152,7 +149,6 @@ Bytes route_frame(std::mt19937_64& rng, std::span<core::Relation* const> targets
 }
 
 TEST(FrameFuzz, RouterDecoderThrowsTypedOnGarbledFrames) {
-  constexpr int kRanks = 4;
   vmpi::run(1, [&](vmpi::Comm& comm) {
     core::Program program(comm);
     std::vector<core::Relation*> targets{
@@ -162,22 +158,15 @@ TEST(FrameFuzz, RouterDecoderThrowsTypedOnGarbledFrames) {
     std::mt19937_64 rng(0xC0FFEE);
     std::uint64_t threw = 0;
     for (int i = 0; i < kIterations; ++i) {
-      const bool with_dst = rng() % 2 == 0;
-      const std::optional<core::DstRange> dsts =
-          with_dst ? std::optional<core::DstRange>(core::DstRange{0, kRanks}) : std::nullopt;
-      const Bytes clean = route_frame(rng, targets, with_dst, kRanks);
+      const Bytes clean = route_frame(rng, targets);
 
       // The clean frame decodes completely, every row inside the buffer.
       std::size_t words = 0;
-      core::decode_route_frame(clean, targets, dsts,
-                               [&](int dst, std::size_t id, std::span<const value_t> rows) {
-                                 ASSERT_LT(id, targets.size());
-                                 ASSERT_EQ(rows.size() % targets[id]->arity(), 0u);
-                                 if (with_dst) {
-                                   ASSERT_TRUE(dst >= 0 && dst < kRanks);
-                                 }
-                                 words += (with_dst ? 3 : 2) + rows.size();
-                               });
+      core::decode_route_frame(clean, targets, [&](std::size_t id, std::span<const value_t> rows) {
+        ASSERT_LT(id, targets.size());
+        ASSERT_EQ(rows.size() % targets[id]->arity(), 0u);
+        words += 2 + rows.size();
+      });
       ASSERT_EQ(words * sizeof(value_t), clean.size()) << "iteration " << i;
 
       // A garbled frame decodes inside the buffer or throws typed.
@@ -185,13 +174,10 @@ TEST(FrameFuzz, RouterDecoderThrowsTypedOnGarbledFrames) {
       const auto* lo = reinterpret_cast<const value_t*>(bad.data());
       const auto* hi = lo + bad.size() / sizeof(value_t);
       try {
-        core::decode_route_frame(bad, targets, dsts,
-                                 [&](int, std::size_t id, std::span<const value_t> rows) {
-                                   ASSERT_LT(id, targets.size());
-                                   ASSERT_TRUE(rows.empty() ||
-                                               (rows.data() >= lo &&
-                                                rows.data() + rows.size() <= hi));
-                                 });
+        core::decode_route_frame(bad, targets, [&](std::size_t id, std::span<const value_t> rows) {
+          ASSERT_LT(id, targets.size());
+          ASSERT_TRUE(rows.empty() || (rows.data() >= lo && rows.data() + rows.size() <= hi));
+        });
       } catch (const vmpi::FrameDecodeError&) {
         ++threw;
       }

@@ -369,6 +369,101 @@ TEST(ExecuteJoin, AntijoinFilterRefinesBlockingMatches) {
   });
 }
 
+/// Sum of one per-rank counter over the world.
+std::uint64_t world_sum(vmpi::Comm& comm, std::uint64_t v) {
+  return comm.allreduce<std::uint64_t>(v, vmpi::ReduceOp::kSum);
+}
+
+TEST(ExecuteJoin, SortedBatchIssuesOneSeekPerDistinctJoinKey) {
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    Relation r(comm, {.name = "r", .arity = 2, .jcc = 1});
+    Relation s(comm, {.name = "s", .arity = 2, .jcc = 1});
+    Relation out(comm, {.name = "out", .arity = 3, .jcc = 1});
+    // Outer r: n = 12 rows over k = 4 join keys (3 rows per key).  Inner s:
+    // 2 rows per key, plus a key the outer never names.
+    std::vector<Tuple> rf, sf;
+    if (comm.rank() == 0) {
+      for (value_t k = 0; k < 4; ++k) {
+        for (value_t i = 0; i < 3; ++i) rf.push_back(Tuple{k, 10 * k + i});
+      }
+      for (value_t k = 0; k < 5; ++k) {
+        for (value_t j = 0; j < 2; ++j) sf.push_back(Tuple{k, 100 * k + j});
+      }
+    }
+    r.load_facts(rf);
+    s.load_facts(sf);
+
+    RankProfile profile;
+    JoinRule rule{
+        .a = &r,
+        .a_version = Version::kFull,
+        .b = &s,
+        .b_version = Version::kFull,
+        .out = {.target = &out, .cols = {Expr::col_a(0), Expr::col_a(1), Expr::col_b(1)}},
+    };
+    const auto stats = execute_join(comm, profile, rule, JoinOrderPolicy::kFixedAOuter);
+    out.materialize();
+
+    // Every outer row probes, but rows sharing a key share one seek: a
+    // kernel that descended once per row would report 12 seeks.
+    EXPECT_EQ(world_sum(comm, stats.probes), 12u);
+    EXPECT_EQ(world_sum(comm, stats.probe_seeks), 4u);
+    EXPECT_EQ(world_sum(comm, stats.matches), 24u);
+    const auto rows = out.gather_to_root(0);
+    if (comm.rank() == 0) {
+      std::vector<Tuple> want;
+      for (value_t k = 0; k < 4; ++k) {
+        for (value_t i = 0; i < 3; ++i) {
+          for (value_t j = 0; j < 2; ++j) want.push_back(Tuple{k, 10 * k + i, 100 * k + j});
+        }
+      }
+      EXPECT_EQ(rows, want);
+    }
+  });
+}
+
+TEST(ExecuteJoin, AntijoinPreFilterRejectedKeyGroupIssuesNoSeek) {
+  vmpi::run(2, [&](vmpi::Comm& comm) {
+    Relation all(comm, {.name = "all", .arity = 2, .jcc = 1});
+    Relation blocked(comm, {.name = "blocked", .arity = 1, .jcc = 1});
+    Relation out(comm, {.name = "out", .arity = 2, .jcc = 1});
+    // 4 keys x 3 rows; the pre-filter admits keys 0 and 1 only, and key 1
+    // is blocked.
+    std::vector<Tuple> af, bf;
+    if (comm.rank() == 0) {
+      for (value_t k = 0; k < 4; ++k) {
+        for (value_t i = 0; i < 3; ++i) af.push_back(Tuple{k, 10 * k + i});
+      }
+      bf.push_back(Tuple{1});
+    }
+    all.load_facts(af);
+    blocked.load_facts(bf);
+
+    RankProfile profile;
+    JoinRule rule{
+        .a = &all,
+        .a_version = Version::kFull,
+        .b = &blocked,
+        .b_version = Version::kFull,
+        .out = {.target = &out, .cols = {Expr::col_a(0), Expr::col_a(1)}},
+        .pre_filter = Expr::less(Expr::col_a(0), Expr::constant(2)),
+        .anti = true,
+    };
+    const auto stats = execute_join(comm, profile, rule);
+    out.materialize();
+
+    // Keys 2 and 3 are rejected whole by the pre-filter and never touch
+    // the tree; keys 0 and 1 seek once each, not once per row.
+    EXPECT_EQ(world_sum(comm, stats.probes), 12u);
+    EXPECT_EQ(world_sum(comm, stats.probe_seeks), 2u);
+    EXPECT_EQ(world_sum(comm, stats.matches), 3u);
+    const auto rows = out.gather_to_root(0);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(rows, (std::vector<Tuple>{Tuple{0, 0}, Tuple{0, 1}, Tuple{0, 2}}));
+    }
+  });
+}
+
 TEST(ValidateRule, AntijoinShapeErrors) {
   vmpi::run(1, [&](vmpi::Comm& comm) {
     Relation r(comm, {.name = "r", .arity = 2, .jcc = 1});

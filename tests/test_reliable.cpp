@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -209,9 +210,11 @@ serving::UpdateBatch edge_batch(const vmpi::Comm& comm, std::span<const Tuple> i
 
 TEST(Reliable, ServingMutationFramesHealUnderDrop) {
   // Serving's own mutation traffic (exchange_flat) rides the faultable
-  // mailbox exchange, so injected drops must be healed by the reliable
-  // channel: the batch completes, the fixpoint matches the from-scratch
-  // oracle, and real retransmits happened on the wire.
+  // mailbox exchange, so injected drops and corruption must be healed by
+  // the reliable channel: the batch completes, the fixpoint matches the
+  // from-scratch oracle, and real retransmits happened on the wire.  The
+  // corrupt leg is the mailbox alltoallv's corrupt-heal coverage: a
+  // flipped byte fails the envelope CRC and is NACKed back for resend.
   const auto g = graph::make_chain(32, /*max_weight=*/3);
   const Tuple removed{g.edges[5].src, g.edges[5].dst, g.edges[5].weight};
   const std::vector<Tuple> inserts{Tuple{2, 20, 1}};
@@ -222,33 +225,41 @@ TEST(Reliable, ServingMutationFramesHealUnderDrop) {
   mutated.edges.push_back(graph::Edge{2, 20, 1});
   const auto oracle = fresh_sssp(mutated);
 
-  vmpi::RunOptions options;
-  options.fault.seed = 63;
-  options.fault.drop_prob = 0.08;
-  options.watchdog_seconds = kWatchdog;
-  const int ranks = 4;
-  std::vector<int> aborted(ranks, 1);
-  std::vector<std::uint64_t> retransmits(ranks, 0);
-  std::vector<std::vector<Tuple>> rows(ranks);
-  vmpi::run(ranks, options, [&](vmpi::Comm& comm) {
-    auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
-    serving::ServingEngine srv(comm, *prog.program, {});
-    queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
-    srv.start();
-    const auto res = srv.apply_updates(edge_batch(comm, inserts, deletes));
-    const auto me = static_cast<std::size_t>(comm.rank());
-    aborted[me] = res.aborted_fault ? 1 : 0;
-    rows[me] = srv.lookup("spath", {});
-    retransmits[me] = comm.stats().retransmits;
-  });
+  vmpi::FaultPlan drop;
+  drop.seed = 63;
+  drop.drop_prob = 0.08;
+  vmpi::FaultPlan corrupt;
+  corrupt.seed = 64;
+  corrupt.corrupt_prob = 0.08;
+  for (const auto& [name, plan] : {std::pair{"drop", drop}, std::pair{"corrupt", corrupt}}) {
+    SCOPED_TRACE(name);
+    vmpi::RunOptions options;
+    options.fault = plan;
+    options.watchdog_seconds = kWatchdog;
+    const int ranks = 4;
+    std::vector<int> aborted(ranks, 1);
+    std::vector<std::uint64_t> retransmits(ranks, 0);
+    std::vector<std::vector<Tuple>> rows(ranks);
+    vmpi::run(ranks, options, [&](vmpi::Comm& comm) {
+      auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
+      serving::ServingEngine srv(comm, *prog.program, {});
+      queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+      srv.start();
+      const auto res = srv.apply_updates(edge_batch(comm, inserts, deletes));
+      const auto me = static_cast<std::size_t>(comm.rank());
+      aborted[me] = res.aborted_fault ? 1 : 0;
+      rows[me] = srv.lookup("spath", {});
+      retransmits[me] = comm.stats().retransmits;
+    });
 
-  std::uint64_t total_retransmits = 0;
-  for (int r = 0; r < ranks; ++r) {
-    EXPECT_EQ(aborted[static_cast<std::size_t>(r)], 0) << "rank " << r;
-    EXPECT_EQ(rows[static_cast<std::size_t>(r)], oracle) << "rank " << r;
-    total_retransmits += retransmits[static_cast<std::size_t>(r)];
+    std::uint64_t total_retransmits = 0;
+    for (int r = 0; r < ranks; ++r) {
+      EXPECT_EQ(aborted[static_cast<std::size_t>(r)], 0) << "rank " << r;
+      EXPECT_EQ(rows[static_cast<std::size_t>(r)], oracle) << "rank " << r;
+      total_retransmits += retransmits[static_cast<std::size_t>(r)];
+    }
+    EXPECT_GT(total_retransmits, 0u) << "faults healed without a single retransmit?";
   }
-  EXPECT_GT(total_retransmits, 0u) << "drops healed without a single retransmit?";
 }
 
 TEST(Reliable, KilledRankDuringBatchRollsBackAndKeepsServing) {

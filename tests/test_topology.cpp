@@ -1,35 +1,22 @@
-// Topology model, log-step collective schedules, and the hierarchical
-// two-level exchange.
+// Topology model and log-step collective schedules.
 //
 // The contracts under test: (1) the Topology partition arithmetic and the
 // schedule parser; (2) allreduce/allgather results AND payload-byte totals
 // are schedule-invariant (only steps and the intra/cross locality split
-// may move); (3) the hierarchical router reaches the bit-identical staged
-// state of the dense exchange while shipping strictly fewer cross-node
-// bytes, with the successive-flush and ragged-node edge cases intact.
+// may move).
 
 #include "vmpi/topology.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "core/exchange_router.hpp"
-#include "core/relation.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace paralagg {
 namespace {
 
-using core::ExchangeAlgorithm;
-using core::ExchangeRouter;
-using core::RankProfile;
-using core::Relation;
-using core::RouterFlushStats;
-using core::Tuple;
-using core::value_t;
 using vmpi::CollectiveSchedule;
 using vmpi::Comm;
 using vmpi::CommStats;
@@ -43,11 +30,7 @@ using vmpi::Topology;
 TEST(Topology, FlatDefaultMakesEveryRankItsOwnNode) {
   const Topology t;
   EXPECT_EQ(t.node_size, 1);
-  for (int r = 0; r < 5; ++r) {
-    EXPECT_EQ(t.node_of(r), r);
-    EXPECT_EQ(t.leader_of(r), r);
-    EXPECT_TRUE(t.is_leader(r));
-  }
+  for (int r = 0; r < 5; ++r) EXPECT_EQ(t.node_of(r), r);
   EXPECT_FALSE(t.same_node(0, 1));
   EXPECT_EQ(t.node_count(5), 5);
 }
@@ -59,13 +42,8 @@ TEST(Topology, GroupedPartitionsContiguously) {
   EXPECT_EQ(t.node_of(0), 0);
   EXPECT_EQ(t.node_of(7), 0);
   EXPECT_EQ(t.node_of(8), 1);
-  EXPECT_EQ(t.leader_of(13), 8);
-  EXPECT_TRUE(t.is_leader(24));
-  EXPECT_FALSE(t.is_leader(25));
   EXPECT_TRUE(t.same_node(16, 23));
   EXPECT_FALSE(t.same_node(15, 16));
-  EXPECT_EQ(t.leaders(32), (std::vector<int>{0, 8, 16, 24}));
-  EXPECT_EQ(t.node_members(13, 32), (std::vector<int>{8, 9, 10, 11, 12, 13, 14, 15}));
 }
 
 TEST(Topology, GroupedHandlesRaggedAndDegenerateShapes) {
@@ -73,35 +51,13 @@ TEST(Topology, GroupedHandlesRaggedAndDegenerateShapes) {
   const Topology ragged = Topology::grouped(10, 3);
   EXPECT_EQ(ragged.node_size, 4);
   EXPECT_EQ(ragged.node_count(10), 3);
-  EXPECT_EQ(ragged.leaders(10), (std::vector<int>{0, 4, 8}));
-  EXPECT_EQ(ragged.node_members(9, 10), (std::vector<int>{8, 9}));
+  EXPECT_EQ(ragged.node_of(7), 1);
+  EXPECT_EQ(ragged.node_of(9), 2);
 
   // Degenerate requests collapse to flat.
   EXPECT_EQ(Topology::grouped(8, 0).node_size, 1);
   EXPECT_EQ(Topology::grouped(8, 8).node_size, 1);
   EXPECT_EQ(Topology::grouped(8, 100).node_size, 1);
-}
-
-TEST(Topology, ElectLeadersPicksHeaviestMemberWithDeterministicTies) {
-  const Topology t = Topology::grouped(8, 2);  // nodes {0..3}, {4..7}
-  ASSERT_EQ(t.node_size, 4);
-
-  // The heavier, non-lowest member wins its node.
-  const std::vector<std::uint64_t> skewed{10, 40, 20, 5, 7, 7, 7, 99};
-  EXPECT_EQ(t.elect_leaders(skewed), (std::vector<int>{1, 7}));
-
-  // Ties keep the lowest contender (deterministic across ranks).
-  const std::vector<std::uint64_t> tied{3, 9, 9, 0, 4, 4, 4, 4};
-  EXPECT_EQ(t.elect_leaders(tied), (std::vector<int>{1, 4}));
-
-  // All-equal degenerates to the static lowest-rank leaders.
-  const std::vector<std::uint64_t> flat(8, 5);
-  EXPECT_EQ(t.elect_leaders(flat), t.leaders(8));
-
-  // Ragged last node: the election respects the short member range.
-  const Topology r = Topology::grouped(5, 2);  // nodes {0,1,2}, {3,4}
-  const std::vector<std::uint64_t> ragged_loads{1, 2, 3, 4, 9};
-  EXPECT_EQ(r.elect_leaders(ragged_loads), (std::vector<int>{2, 4}));
 }
 
 TEST(Topology, ParseScheduleNamesRoundTrip) {
@@ -269,214 +225,6 @@ TEST(Stats, FlatTopologyCountsAllRemoteBytesAsCrossNode) {
     EXPECT_EQ(st.cross_node_bytes(Op::kAllgather), st.remote_bytes(Op::kAllgather));
     EXPECT_EQ(st.intra_node_bytes(Op::kAllgather), 0u);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical two-level exchange
-// ---------------------------------------------------------------------------
-
-/// Smallest key >= 0 whose unary-prefix tuple `rel` assigns to `rank`.
-value_t key_owned_by(const Relation& rel, int rank) {
-  for (value_t k = 0;; ++k) {
-    const Tuple probe{k, 0, 0};
-    if (rel.owner_rank(probe.view()) == rank) return k;
-  }
-}
-
-/// One MIN-aggregated flush where every rank emits a row with the SAME
-/// independent key toward every other rank, so the node-level pre-merge
-/// has something to collapse.  Returns rank 0's gathered fixpoint.
-std::vector<Tuple> run_min_flush(int ranks, const vmpi::RunOptions& options,
-                                 ExchangeAlgorithm algo, std::vector<CommStats>* stats,
-                                 std::vector<RouterFlushStats>* flush_stats = nullptr) {
-  std::vector<Tuple> rows;
-  std::vector<CommStats> per_rank;
-  if (flush_stats != nullptr) flush_stats->assign(static_cast<std::size_t>(ranks), {});
-  vmpi::run_collect(
-      ranks, options,
-      [&](Comm& comm) {
-        Relation rel(comm, {.name = "h",
-                            .arity = 3,
-                            .jcc = 1,
-                            .dep_arity = 1,
-                            .aggregator = core::make_min_aggregator()});
-        RankProfile profile;
-        ExchangeRouter router(comm, /*preaggregate=*/true);
-        const auto id = router.add_target(&rel);
-        for (int d = 0; d < comm.size(); ++d) {
-          if (d == comm.rank()) continue;
-          const value_t key = key_owned_by(rel, d);
-          router.emit(id, Tuple{key, 7, 100 + static_cast<value_t>(comm.rank())}.view());
-        }
-        const auto st = router.flush(profile, algo);
-        if (flush_stats != nullptr) {
-          (*flush_stats)[static_cast<std::size_t>(comm.rank())] = st;
-        }
-        rel.materialize();
-        auto gathered = rel.gather_to_root(0);
-        if (comm.rank() == 0) rows = std::move(gathered);
-      },
-      per_rank);
-  if (stats != nullptr) *stats = std::move(per_rank);
-  return rows;
-}
-
-TEST(HierarchicalExchange, MatchesDenseFixpointWithFewerCrossNodeBytes) {
-  const int ranks = 8;
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(ranks, 2));
-  std::vector<CommStats> dense_stats, hier_stats;
-  std::vector<RouterFlushStats> hier_flush;
-  const auto dense = run_min_flush(ranks, options, ExchangeAlgorithm::kDense, &dense_stats);
-  const auto hier = run_min_flush(ranks, options, ExchangeAlgorithm::kHierarchical,
-                                  &hier_stats, &hier_flush);
-  ASSERT_FALSE(dense.empty());
-  EXPECT_EQ(hier, dense);
-
-  const auto sum_cross = [](const std::vector<CommStats>& v) {
-    std::uint64_t total = 0;
-    for (const auto& st : v) total += st.cross_node_bytes(Op::kAlltoallv);
-    return total;
-  };
-  // Each node's 4 members emit a row for every off-node destination; the
-  // aggregator folds those four MIN candidates into one before the
-  // leaders-only exchange, so cross-node volume must drop strictly.
-  EXPECT_LT(sum_cross(hier_stats), sum_cross(dense_stats));
-
-  // The node merge really fired, on leaders only.
-  const Topology topo = Topology::grouped(ranks, 2);
-  std::uint64_t merged = 0;
-  for (int r = 0; r < ranks; ++r) {
-    const auto& st = hier_flush[static_cast<std::size_t>(r)];
-    if (!topo.is_leader(r)) {
-      EXPECT_EQ(st.rows_node_merged, 0u) << "rank " << r;
-    }
-    merged += st.rows_node_merged;
-  }
-  EXPECT_GT(merged, 0u);
-
-  for (const auto& st : hier_stats) {
-    // Still exactly one collective tuple exchange per flush per rank, and
-    // the up/down legs show up as the two extra schedule steps.
-    EXPECT_EQ(st.calls_of(Op::kAlltoallv), 1u);
-    EXPECT_EQ(st.steps_of(Op::kAlltoallv), 3u);
-  }
-}
-
-TEST(HierarchicalExchange, RaggedNodesAndEveryRowCountSurvive) {
-  // 5 ranks on 2 nodes: node {0,1,2} and node {3,4} — the short last node
-  // exercises the member-index arithmetic on both legs.
-  const int ranks = 5;
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(ranks, 2));
-  std::vector<CommStats> dense_stats, hier_stats;
-  const auto dense = run_min_flush(ranks, options, ExchangeAlgorithm::kDense, &dense_stats);
-  const auto hier =
-      run_min_flush(ranks, options, ExchangeAlgorithm::kHierarchical, &hier_stats);
-  ASSERT_FALSE(dense.empty());
-  EXPECT_EQ(hier, dense);
-  std::uint64_t staged_rows = 0;
-  for (const auto& st : hier_stats) staged_rows += st.calls_of(Op::kAlltoallv);
-  EXPECT_EQ(staged_rows, static_cast<std::uint64_t>(ranks));
-}
-
-TEST(HierarchicalExchange, FlatTopologyDegradesToDense) {
-  // node_size 1: the hierarchy is the identity, so the router must take
-  // the plain dense path — one step, no intra-node legs.
-  std::vector<CommStats> per_rank;
-  const auto rows = run_min_flush(4, vmpi::RunOptions{}, ExchangeAlgorithm::kHierarchical,
-                                  &per_rank);
-  ASSERT_FALSE(rows.empty());
-  for (const auto& st : per_rank) {
-    EXPECT_EQ(st.steps_of(Op::kAlltoallv), 1u);
-    EXPECT_EQ(st.intra_node_bytes(Op::kAlltoallv), 0u);
-  }
-}
-
-TEST(HierarchicalExchange, SuccessiveFlushesStageEachBatchOnce) {
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(4, 2));
-  vmpi::run(4, options, [&](Comm& comm) {
-    Relation rel(comm, {.name = "sp", .arity = 3, .jcc = 1});
-    RankProfile profile;
-    ExchangeRouter router(comm, /*preaggregate=*/true);
-    const auto id = router.add_target(&rel);
-    const value_t theirs = key_owned_by(rel, (comm.rank() + 1) % comm.size());
-
-    router.emit(id, Tuple{theirs, 1, 1}.view());
-    const auto st1 = router.flush(profile, ExchangeAlgorithm::kHierarchical);
-    EXPECT_EQ(st1.rows_staged, 1u);
-    EXPECT_EQ(router.pending_rows(), 0u);
-
-    // A row emitted after the first flush rides the second one alone: the
-    // per-flush tag and sequence word keep the two flushes' legs apart.
-    router.emit(id, Tuple{theirs, 2, 2}.view());
-    EXPECT_EQ(router.pending_rows(), 1u);
-    const auto st2 = router.flush(profile, ExchangeAlgorithm::kHierarchical);
-    EXPECT_EQ(st2.rows_staged, 1u);
-
-    rel.materialize();
-    EXPECT_EQ(rel.global_size(core::Version::kFull), 8u);
-    EXPECT_EQ(comm.stats().calls_of(Op::kAlltoallv), 2u);
-    EXPECT_EQ(comm.stats().steps_of(Op::kAlltoallv), 6u);
-  });
-}
-
-TEST(HierarchicalExchange, HeaviestMemberAggregatesItsNode) {
-  // Node {0,1}: rank 1 stages far more delta bytes than rank 0, so the
-  // load election must aggregate on rank 1 — the heavy buffer never
-  // crosses the intra-node wire.  Node {2,3} stays symmetric and keeps
-  // its lowest rank.  The fixpoint must be dense-identical either way.
-  const int ranks = 4;
-  const auto options = with_schedule(CollectiveSchedule::kRecursiveDoubling,
-                                     Topology::grouped(ranks, 2));
-  const auto leg = [&](ExchangeAlgorithm algo, std::vector<RouterFlushStats>* flush) {
-    std::vector<Tuple> rows;
-    if (flush != nullptr) flush->assign(static_cast<std::size_t>(ranks), {});
-    vmpi::run(ranks, options, [&](Comm& comm) {
-      Relation rel(comm, {.name = "h",
-                          .arity = 3,
-                          .jcc = 1,
-                          .dep_arity = 1,
-                          .aggregator = core::make_min_aggregator()});
-      RankProfile profile;
-      ExchangeRouter router(comm, /*preaggregate=*/true);
-      const auto id = router.add_target(&rel);
-      for (int d = 0; d < comm.size(); ++d) {
-        if (d == comm.rank()) continue;
-        const value_t key = key_owned_by(rel, d);
-        router.emit(id, Tuple{key, 7, 100 + static_cast<value_t>(comm.rank())}.view());
-      }
-      if (comm.rank() == 1) {
-        // The burst that makes rank 1 node 0's heaviest member.
-        for (value_t k = 0; k < 64; ++k) {
-          router.emit(id, Tuple{k, 9, 200 + k}.view());
-        }
-      }
-      const auto st = router.flush(profile, algo);
-      if (flush != nullptr) (*flush)[static_cast<std::size_t>(comm.rank())] = st;
-      rel.materialize();
-      auto gathered = rel.gather_to_root(0);
-      if (comm.rank() == 0) rows = std::move(gathered);
-    });
-    return rows;
-  };
-
-  std::vector<RouterFlushStats> flush;
-  const auto dense = leg(ExchangeAlgorithm::kDense, nullptr);
-  const auto hier = leg(ExchangeAlgorithm::kHierarchical, &flush);
-  ASSERT_FALSE(dense.empty());
-  EXPECT_EQ(hier, dense);
-
-  // The skewed node elects its heavier, non-lowest member...
-  EXPECT_EQ(flush[0].elected_leader, 1);
-  EXPECT_EQ(flush[1].elected_leader, 1);
-  // ... and the node merge runs there, not on the static leader.
-  EXPECT_EQ(flush[0].rows_node_merged, 0u);
-  EXPECT_GT(flush[1].rows_node_merged, 0u);
-  // The symmetric node ties and keeps its lowest rank.
-  EXPECT_EQ(flush[2].elected_leader, 2);
-  EXPECT_EQ(flush[3].elected_leader, 2);
 }
 
 }  // namespace

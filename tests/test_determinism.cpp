@@ -234,5 +234,48 @@ TEST(Determinism, FixpointsIdenticalAcrossSchedulesAndTopologies) {
   }
 }
 
+// Counter pin: the BSP engine's deterministic kernel and wire counters on
+// fixed seeded inputs.  Any change to the local-join kernel, the probe
+// replication or the frame codec that moves one of these numbers changes
+// BSP behaviour, not just its speed; the constants are the engine's
+// counters before the join kernel was shared with the async and serving
+// engines.
+struct PinnedCounters {
+  std::uint64_t probes, probe_seeks, matches, outer_tuples_shipped, remote_bytes;
+  std::vector<std::uint64_t> tuples_generated;  // per stratum
+};
+
+void expect_pinned(const core::RunResult& run, const PinnedCounters& want) {
+  EXPECT_EQ(run.kernel.probes, want.probes);
+  EXPECT_EQ(run.kernel.probe_seeks, want.probe_seeks);
+  EXPECT_EQ(run.kernel.matches, want.matches);
+  EXPECT_EQ(run.kernel.outer_tuples_shipped, want.outer_tuples_shipped);
+  EXPECT_EQ(run.comm_total.total_remote_bytes(), want.remote_bytes);
+  std::vector<std::uint64_t> got;
+  for (const auto& s : run.strata) got.push_back(s.tuples_generated);
+  EXPECT_EQ(got, want.tuples_generated);
+}
+
+TEST(Determinism, BspKernelCountersPinned) {
+  const auto rmat = graph::make_rmat({.scale = 9, .edge_factor = 6, .seed = 41});
+  const auto grid = graph::make_grid(12, 12, 9, 42);
+  vmpi::run(4, [&](vmpi::Comm& comm) {
+    queries::SsspOptions sopts;
+    sopts.sources = rmat.pick_sources(3);
+    const auto sssp = run_sssp(comm, rmat, sopts);
+    queries::CcOptions copts;
+    const auto cc = run_cc(comm, grid, copts);
+    if (comm.rank() != 0) return;
+    {
+      SCOPED_TRACE("sssp");
+      expect_pinned(sssp.run, {2626, 1279, 22561, 2626, 213648, {1097}});
+    }
+    {
+      SCOPED_TRACE("cc");
+      expect_pinned(cc.run, {2400, 1728, 7008, 1728, 291448, {503, 0}});
+    }
+  });
+}
+
 }  // namespace
 }  // namespace paralagg

@@ -5,15 +5,20 @@
 // other rank pays for it at the next barrier (CommStats::wait_seconds).
 // The async engine has no per-iteration barrier: idle ranks park in a
 // blocking recv (drain), wake per message, and quiesce via the Safra ring.
-// Both engines reach the bit-identical fixpoint, so the comparison is
-// purely about where waiting happens — barrier-wait vs drain.
+// Both engines must reach the bit-identical fixpoint: every run gathers
+// its sorted spath rows and the bench fails unless they equal the first
+// BSP run's exactly.  The comparison is then about where waiting happens
+// (barrier-wait vs drain) and what it costs on the wire.
 //
-// Emits one JSON line per run (machine-friendly; pipe through jq), then a
-// human-readable verdict: on the skewed graph, per-rank barrier-wait under
-// async must be strictly lower than under BSP.
+// Usage: async_vs_bsp [ranks=8] [scale=12] [reps=5].  Each (graph, engine)
+// pair runs `reps` times, alternating engines, and emits one JSON line
+// with the median and quartiles of wall time (ranks are threads on a
+// shared box, so one wall reading is noise) plus the medians of the other
+// readings.
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -31,7 +36,9 @@ struct Row {
   double remote_mib = 0;
   std::uint64_t p2p_messages = 0;
   std::uint64_t iterations = 0;
-  std::uint64_t paths = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t probe_seeks = 0;
+  std::vector<core::Tuple> spath;  // sorted fixpoint rows
 };
 
 Row run_sssp_once(const graph::Graph& g, const std::vector<core::value_t>& sources,
@@ -81,13 +88,15 @@ Row run_sssp_once(const graph::Graph& g, const std::vector<core::value_t>& sourc
           run = engine.run(program);
         }
         const auto blocked_all = comm.allgather<double>(my_blocked);
-        const auto paths = spath->global_size(core::Version::kFull);
+        auto rows = spath->gather_to_root();
         if (comm.rank() == 0) {
           row.wall_s = run.wall_seconds;
           row.iterations = run.total_iterations;
           row.remote_mib = mib(run.comm_total.total_remote_bytes());
           row.p2p_messages = run.comm_total.messages_sent;
-          row.paths = paths;
+          row.probes = run.kernel.probes;
+          row.probe_seeks = run.kernel.probe_seeks;
+          row.spath = std::move(rows);
           blocked = blocked_all;
         }
       },
@@ -104,16 +113,41 @@ Row run_sssp_once(const graph::Graph& g, const std::vector<core::value_t>& sourc
   return row;
 }
 
-void emit(const Row& r) {
+/// Linear-interpolated quantile q in [0, 1] of `v`.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+template <typename F>
+double median_of(const std::vector<Row>& runs, F&& field) {
+  std::vector<double> v;
+  for (const Row& r : runs) v.push_back(static_cast<double>(field(r)));
+  return quantile(std::move(v), 0.5);
+}
+
+void emit(const std::vector<Row>& runs) {
+  const Row& r = runs.front();
+  std::vector<double> wall;
+  for (const Row& x : runs) wall.push_back(x.wall_s);
   std::printf(
       "{\"engine\":\"%s\",\"query\":\"sssp\",\"graph\":\"%s\",\"ranks\":%d,"
-      "\"wall_s\":%.6f,\"barrier_wait_s\":%.6f,\"drain_s\":%.6f,"
-      "\"remote_mib\":%.3f,\"p2p_messages\":%llu,\"iterations\":%llu,"
-      "\"paths\":%llu}\n",
-      r.engine, r.graph.c_str(), r.ranks, r.wall_s, r.barrier_wait_s, r.drain_s,
-      r.remote_mib, static_cast<unsigned long long>(r.p2p_messages),
-      static_cast<unsigned long long>(r.iterations),
-      static_cast<unsigned long long>(r.paths));
+      "\"reps\":%zu,\"wall_s_median\":%.6f,\"wall_s_q1\":%.6f,\"wall_s_q3\":%.6f,"
+      "\"barrier_wait_s\":%.6f,\"drain_s\":%.6f,\"remote_mib\":%.3f,"
+      "\"p2p_messages\":%.0f,\"iterations\":%.0f,\"probes\":%.0f,\"probe_seeks\":%.0f,"
+      "\"paths\":%zu}\n",
+      r.engine, r.graph.c_str(), r.ranks, runs.size(), quantile(wall, 0.5),
+      quantile(wall, 0.25), quantile(wall, 0.75),
+      median_of(runs, [](const Row& x) { return x.barrier_wait_s; }),
+      median_of(runs, [](const Row& x) { return x.drain_s; }),
+      median_of(runs, [](const Row& x) { return x.remote_mib; }),
+      median_of(runs, [](const Row& x) { return x.p2p_messages; }),
+      median_of(runs, [](const Row& x) { return x.iterations; }),
+      median_of(runs, [](const Row& x) { return x.probes; }),
+      median_of(runs, [](const Row& x) { return x.probe_seeks; }), r.spath.size());
 }
 
 }  // namespace
@@ -125,10 +159,11 @@ int main(int argc, char** argv) {
 
   const int ranks = argc > 1 ? std::atoi(argv[1]) : 8;
   const int scale = argc > 2 ? std::atoi(argv[2]) : 12;
+  const int reps = argc > 3 ? std::max(1, std::atoi(argv[3])) : 5;
 
   banner("async vs BSP: barrier-wait under skew",
          "SSSP, BSP engine vs nonblocking delta propagation, same fixpoint",
-         "one JSON line per (graph, engine) run");
+         "one JSON line per (graph, engine): median and quartiles over reps");
 
   // Skewed (power-law hubs) and uniform (grid) inputs at the same scale.
   const auto skewed = graph::make_twitter_like(scale, 10);
@@ -137,21 +172,23 @@ int main(int argc, char** argv) {
 
   for (const auto* g : {&skewed, &uniform}) {
     const auto sources = g->pick_hubs(3);
-    Row bsp, async_row;
-    for (int rep = 0; rep < 3; ++rep) {  // keep the best of 3 (scheduler noise)
-      const auto b = run_sssp_once(*g, sources, ranks, /*use_async=*/false);
-      const auto a = run_sssp_once(*g, sources, ranks, /*use_async=*/true);
-      if (rep == 0 || b.wall_s < bsp.wall_s) bsp = b;
-      if (rep == 0 || a.wall_s < async_row.wall_s) async_row = a;
+    std::vector<Row> bsp, async_runs;
+    for (int rep = 0; rep < reps; ++rep) {  // alternate, so drift hits both
+      bsp.push_back(run_sssp_once(*g, sources, ranks, /*use_async=*/false));
+      async_runs.push_back(run_sssp_once(*g, sources, ranks, /*use_async=*/true));
     }
-    if (bsp.paths != async_row.paths) {
-      std::printf("MISMATCH on %s: bsp %llu paths vs async %llu\n", g->name.c_str(),
-                  static_cast<unsigned long long>(bsp.paths),
-                  static_cast<unsigned long long>(async_row.paths));
-      return 1;
+    const auto& reference = bsp.front().spath;
+    for (const auto* runs : {&bsp, &async_runs}) {
+      for (const Row& r : *runs) {
+        if (r.spath != reference) {
+          std::printf("MISMATCH on %s: %s fixpoint (%zu rows) differs from bsp (%zu rows)\n",
+                      g->name.c_str(), r.engine, r.spath.size(), reference.size());
+          return 1;
+        }
+      }
     }
     emit(bsp);
-    emit(async_row);
+    emit(async_runs);
   }
 
   std::printf("\nbarrier-wait is where BSP pays for skew; the async loop has no\n");

@@ -16,6 +16,15 @@ void push_unique(std::vector<Relation*>& v, Relation* r) {
 
 }  // namespace
 
+void reduce_kernel_totals(vmpi::Comm& comm, const JoinKernelTotals& local, RunResult& result) {
+  for (const auto field : {&JoinKernelTotals::outer_tuples_shipped, &JoinKernelTotals::probes,
+                           &JoinKernelTotals::probe_seeks, &JoinKernelTotals::matches}) {
+    result.kernel.*field = comm.allreduce<std::uint64_t>(local.*field, vmpi::ReduceOp::kSum);
+    result.kernel_max.*field =
+        comm.allreduce<std::uint64_t>(local.*field, vmpi::ReduceOp::kMax);
+  }
+}
+
 std::vector<Relation*> Engine::targets_of(const std::vector<Rule>& rules) {
   std::vector<Relation*> out;
   for (const auto& rule : rules) {
@@ -46,10 +55,7 @@ RuleExecStats Engine::execute_rule(const Rule& rule, ExchangeRouter& router) {
   } else {
     stats = execute_copy(profile_, std::get<CopyRule>(rule), router);
   }
-  local_kernel_.outer_tuples_shipped += stats.outer_tuples_shipped;
-  local_kernel_.probes += stats.probes;
-  local_kernel_.probe_seeks += stats.probe_seeks;
-  local_kernel_.matches += stats.matches;
+  local_kernel_.add(stats);
   local_skew_.broadcast_rows += stats.hot_broadcast_rows;
   return stats;
 }
@@ -303,22 +309,7 @@ RunResult Engine::run_from(Program& program, std::size_t first_stratum,
     vmpi::StatsPause pause(*comm_);
     const auto all = comm_->allgather_stats(comm_->stats());
     for (const auto& s : all) result.comm_total += s;
-    result.kernel.outer_tuples_shipped = comm_->allreduce<std::uint64_t>(
-        local_kernel_.outer_tuples_shipped, vmpi::ReduceOp::kSum);
-    result.kernel.probes =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probes, vmpi::ReduceOp::kSum);
-    result.kernel.probe_seeks =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probe_seeks, vmpi::ReduceOp::kSum);
-    result.kernel.matches =
-        comm_->allreduce<std::uint64_t>(local_kernel_.matches, vmpi::ReduceOp::kSum);
-    result.kernel_max.outer_tuples_shipped = comm_->allreduce<std::uint64_t>(
-        local_kernel_.outer_tuples_shipped, vmpi::ReduceOp::kMax);
-    result.kernel_max.probes =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probes, vmpi::ReduceOp::kMax);
-    result.kernel_max.probe_seeks =
-        comm_->allreduce<std::uint64_t>(local_kernel_.probe_seeks, vmpi::ReduceOp::kMax);
-    result.kernel_max.matches =
-        comm_->allreduce<std::uint64_t>(local_kernel_.matches, vmpi::ReduceOp::kMax);
+    reduce_kernel_totals(*comm_, local_kernel_, result);
     // Detection runs are symmetric (max = the shared count); row moves are
     // per-rank shares, so they sum.
     result.skew.detections =

@@ -102,6 +102,13 @@ struct JoinKernelTotals {
   std::uint64_t probes = 0;
   std::uint64_t probe_seeks = 0;
   std::uint64_t matches = 0;
+
+  void add(const RuleExecStats& s) {
+    outer_tuples_shipped += s.outer_tuples_shipped;
+    probes += s.probes;
+    probe_seeks += s.probe_seeks;
+    matches += s.matches;
+  }
 };
 
 struct RunResult {
@@ -134,6 +141,11 @@ struct RunResult {
   SkewStats skew;
   double wall_seconds = 0;     // this rank's view
 };
+
+/// Fill `result.kernel` (sum over ranks) and `result.kernel_max` (max
+/// over ranks) from this rank's counters.  Collective; the BSP and async
+/// engines both call it under vmpi::StatsPause while assembling a summary.
+void reduce_kernel_totals(vmpi::Comm& comm, const JoinKernelTotals& local, RunResult& result);
 
 class Engine {
  public:

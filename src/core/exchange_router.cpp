@@ -111,11 +111,7 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
       assert(d != me && "self-owned rows take the loopback path");
       const Relation& rel = *targets_[id];
       if (preaggregate_) combine(rel, rows, st);
-      const auto count = rows.size() / rel.arity();
-      w.put(static_cast<value_t>(id));
-      w.put(static_cast<value_t>(count));
-      w.put_span(std::span<const value_t>(rows));
-      st.rows_sent += count;
+      st.rows_sent += put_route_group(w, id, rows, rel.arity());
     }
     send[d] = w.take();
   }

@@ -35,6 +35,8 @@
 //
 // Route ids are per-router registration indices; every rank must register
 // the same relations in the same order (SPMD, like everything else here).
+// The async engine's point-to-point frames use the same format and codec
+// (put_route_group / decode_route_frame), with its own route tables.
 
 #include <cstdint>
 #include <span>
@@ -43,6 +45,7 @@
 #include "core/profile.hpp"
 #include "core/relation.hpp"
 #include "vmpi/comm.hpp"
+#include "vmpi/serialize.hpp"
 
 namespace paralagg::core {
 
@@ -55,6 +58,19 @@ enum class ExchangeAlgorithm : std::uint8_t {
 /// One collective tuple exchange under the chosen algorithm.  Collective.
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo);
+
+/// Append one `[ route_id | row_count | rows ]` group to a tuple frame and
+/// return its row count.  `rows` is flat, `arity` values per row.  The one
+/// encoder of the format decode_route_frame reads: router flushes and the
+/// async engine's stage, probe and epoch frames all write through it.
+inline std::size_t put_route_group(vmpi::TypedWriter<value_t>& w, std::size_t route_id,
+                                   std::span<const value_t> rows, std::size_t arity) {
+  const std::size_t count = rows.size() / arity;
+  w.put(static_cast<value_t>(route_id));
+  w.put(static_cast<value_t>(count));
+  w.put_span(rows);
+  return count;
+}
 
 /// Walk one tuple frame `[ route_id | row_count | rows ]*` and call
 /// `on_rows(route_id, rows)` per group.  Every structural check the

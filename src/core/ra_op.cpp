@@ -10,39 +10,62 @@
 
 namespace paralagg::core {
 
+bool copy_row(const CopyRule& rule, std::span<const value_t> row, Tuple& scratch,
+              RuleExecStats& stats) {
+  ++stats.probes;
+  if (rule.filter && rule.filter->eval(row, {}) == 0) return false;
+  ++stats.matches;
+  eval_head(rule.out, row, {}, scratch);
+  return true;
+}
+
+bool probe_dests(const Relation& probe_rel, const Relation& partner,
+                 std::span<const value_t> row, std::vector<int>& dests) {
+  if (!partner.hot_keys().empty() && partner.key_is_hot(row)) {
+    dests.resize(static_cast<std::size_t>(partner.comm().size()));
+    std::iota(dests.begin(), dests.end(), 0);
+    return true;
+  }
+  partner.ranks_of_bucket(probe_rel.bucket_of(row), dests);
+  return false;
+}
+
+namespace detail {
+
+std::vector<std::uint32_t> probe_order(std::span<const value_t> batch, std::size_t arity,
+                                       std::size_t jcc) {
+  const std::size_t nrows = batch.size() / arity;
+  const auto row_of = [&](std::size_t i) { return batch.subspan(i * arity, arity); };
+  std::size_t i = 1;
+  while (i < nrows && storage::compare_prefix(row_of(i - 1), row_of(i), jcc) <= 0) ++i;
+  if (i >= nrows) return {};
+  std::vector<std::uint32_t> order(nrows);
+  std::iota(order.begin(), order.end(), 0);
+  // Stable: equal keys keep arrival order, so a sorted batch and its
+  // index sort probe (and emit) in the same order.  Comparisons here are
+  // plain, not counted against the B-tree.
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
+    return storage::compare_prefix(row_of(x), row_of(y), jcc) < 0;
+  });
+  return order;
+}
+
+}  // namespace detail
+
 namespace {
 
-/// Append every tuple of `tree` to the per-destination buffers, replicating
-/// each tuple to all ranks that hold a sub-bucket of its bucket in the
-/// *inner* relation.  This is the outer-relation serialization feeding the
-/// intra-bucket exchange.
+/// Outer-relation serialization feeding the intra-bucket exchange: every
+/// tuple of `tree` goes to each rank probe_dests names for it.
 std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& outer,
                               const Relation& inner,
                               std::vector<vmpi::TypedWriter<value_t>>& outgoing,
-                              std::uint64_t* hot_broadcast) {
+                              std::uint64_t& hot_broadcast) {
   std::uint64_t shipped = 0;
-  const bool inner_has_hot = !inner.hot_keys().empty();
-  const std::size_t nranks = outgoing.size();
   std::vector<int> dests;
   tree.for_each([&](std::span<const value_t> t) {
-    if (inner_has_hot && inner.key_is_hot(t)) {
-      // The inner side's rows for this hot key are spread across ALL ranks
-      // (Relation::route_rank), so the probe row must reach every rank.
-      // Each inner row still lives on exactly one rank, so every joined
-      // pair is found exactly once (DESIGN.md §13).
-      for (std::size_t d = 0; d < nranks; ++d) {
-        outgoing[d].put_span(t);
-        ++shipped;
-      }
-      if (hot_broadcast != nullptr) *hot_broadcast += nranks;
-      return;
-    }
-    const auto bucket = outer.bucket_of(t);
-    inner.ranks_of_bucket(bucket, dests);
-    for (int d : dests) {
-      outgoing[static_cast<std::size_t>(d)].put_span(t);
-      ++shipped;
-    }
+    if (probe_dests(outer, inner, t, dests)) hot_broadcast += dests.size();
+    for (int d : dests) outgoing[static_cast<std::size_t>(d)].put_span(t);
+    shipped += dests.size();
   });
   return shipped;
 }
@@ -51,17 +74,6 @@ std::vector<vmpi::Bytes> take_all(std::vector<vmpi::TypedWriter<value_t>>& outgo
   std::vector<vmpi::Bytes> send(outgoing.size());
   for (std::size_t d = 0; d < outgoing.size(); ++d) send[d] = outgoing[d].take();
   return send;
-}
-
-/// Evaluate the head and hand the output tuple to the router (shipping is
-/// deferred to the router flush).
-void emit_output(const OutputSpec& out, std::span<const value_t> a,
-                 std::span<const value_t> b, Tuple& scratch, ExchangeRouter& router,
-                 std::uint32_t route) {
-  scratch.clear();
-  scratch.reserve(out.cols.size());
-  for (const auto& e : out.cols) scratch.push_back(e.eval(a, b));
-  router.emit(route, scratch.view());
 }
 
 /// Decode the received outer buffers into one flat row-major batch.  The
@@ -91,8 +103,7 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
                            ExchangeAlgorithm exchange_algo) {
   RuleExecStats stats;
   const std::uint32_t route = router.add_target(rule.out.target);
-  const std::size_t jcc = rule.a->jcc();
-  assert(jcc == rule.b->jcc() && "join sides must agree on join-column count");
+  assert(rule.a->jcc() == rule.b->jcc() && "join sides must agree on join-column count");
 
   // ---- Phase: dynamic join planning (Algorithm 1) --------------------------
   PlanDecision plan{};
@@ -124,7 +135,7 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
     PhaseScope scope(comm, profile, Phase::kIntraBucket);
     std::vector<vmpi::TypedWriter<value_t>> outgoing(static_cast<std::size_t>(comm.size()));
     stats.outer_tuples_shipped = serialize_outer(outer.tree(outer_version), outer, inner,
-                                                 outgoing, &stats.hot_broadcast_rows);
+                                                 outgoing, stats.hot_broadcast_rows);
     profile.add_work(Phase::kIntraBucket, stats.outer_tuples_shipped);
     received_outer = exchange_alltoallv(comm, take_all(outgoing), exchange_algo);
   }
@@ -132,97 +143,9 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
   // ---- Phase: local join (outputs emitted into the router) ------------------
   {
     PhaseScope scope(comm, profile, Phase::kLocalJoin);
-    const auto& inner_tree = inner.tree(inner_version);
-    const std::size_t outer_arity = outer.arity();
-    Tuple scratch;
-    static const Tuple kNoMatch;
-
-    assert(outer_arity > 0);
-    const std::vector<value_t> batch = decode_probe_batch(received_outer, outer_arity);
-    const std::size_t nrows = batch.size() / outer_arity;
-    const auto row_of = [&](std::size_t i) {
-      return std::span<const value_t>(batch.data() + i * outer_arity, outer_arity);
-    };
-
-    const auto emit_pair = [&](std::span<const value_t> orow,
-                               std::span<const value_t> irow) {
-      const auto a = plan.a_outer ? orow : irow;
-      const auto b = plan.a_outer ? irow : orow;
-      if (rule.filter && rule.filter->eval(a, b) == 0) return;
-      ++stats.matches;
-      emit_output(rule.out, a, b, scratch, router, route);
-    };
-
-    // Sorted-batch kernel: order probes by join-key prefix so the
-    // monotone cursor advances through the inner tree once, and share
-    // one seek across a run of equal keys (the match range is recorded
-    // on the first probe and replayed for the rest — filters still run
-    // per pair, so semantics are unchanged).  Output *content* is
-    // unaffected by the reordering: router staging is order-insensitive
-    // (DESIGN.md §6).
-    std::vector<std::uint32_t> order(nrows);
-    std::iota(order.begin(), order.end(), 0);
-    // stable_sort keeps arrival order within equal keys; comparisons
-    // here are plain (not counted against the B-tree).
-    std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-      return storage::compare_prefix(row_of(x), row_of(y), jcc) < 0;
-    });
-
-    auto cursor = inner_tree.cursor();
-    std::size_t g = 0;
-    while (g < nrows) {
-      const auto gkey = row_of(order[g]).first(jcc);
-      std::size_t ge = g + 1;
-      while (ge < nrows && storage::compare_prefix(row_of(order[ge]), gkey, jcc) == 0) {
-        ++ge;
-      }
-
-      // Lazy: antijoin pre-filters may reject the whole group without
-      // ever touching the tree.
-      bool sought = false;
-      storage::TupleBTree::Cursor::Position begin{};
-      std::size_t nmatch = 0;
-      const auto ensure_range = [&]() {
-        if (sought) return;
-        cursor.seek(gkey);
-        ++stats.probe_seeks;
-        begin = cursor.position();
-        while (cursor.valid() && cursor.matches(gkey)) {
-          ++nmatch;
-          cursor.next();
-        }
-        sought = true;
-      };
-
-      for (std::size_t k = g; k < ge; ++k) {
-        const auto orow = row_of(order[k]);
-        ++stats.probes;
-        if (rule.anti) {
-          if (rule.pre_filter && rule.pre_filter->eval(orow, kNoMatch.view()) == 0) {
-            continue;
-          }
-          ensure_range();
-          bool exists = false;
-          cursor.restore(begin);
-          for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
-            if (rule.filter && rule.filter->eval(orow, cursor.row()) == 0) continue;
-            exists = true;
-            break;
-          }
-          if (!exists) {
-            ++stats.matches;
-            emit_output(rule.out, orow, kNoMatch.view(), scratch, router, route);
-          }
-          continue;
-        }
-        ensure_range();
-        cursor.restore(begin);
-        for (std::size_t m = 0; m < nmatch; ++m, cursor.next()) {
-          emit_pair(orow, cursor.row());
-        }
-      }
-      g = ge;
-    }
+    const std::vector<value_t> batch = decode_probe_batch(received_outer, outer.arity());
+    join_sorted_batch(batch, plan.a_outer, inner.tree(inner_version), rule, stats,
+                      [&](std::span<const value_t> row) { router.emit(route, row); });
     stats.outputs = stats.matches;
     profile.add_work(Phase::kLocalJoin, stats.probes + stats.matches);
   }
@@ -235,13 +158,9 @@ RuleExecStats execute_copy(RankProfile& profile, const CopyRule& rule,
   const std::uint32_t route = router.add_target(rule.out.target);
 
   PhaseScope scope(router.comm(), profile, Phase::kLocalJoin);
-  static const Tuple kEmpty;
-  Tuple scratch;
+  Tuple head;
   rule.src->tree(rule.version).for_each([&](std::span<const value_t> t) {
-    ++stats.probes;
-    if (rule.filter && rule.filter->eval(t, kEmpty.view()) == 0) return;
-    ++stats.matches;
-    emit_output(rule.out, t, kEmpty.view(), scratch, router, route);
+    if (copy_row(rule, t, head, stats)) router.emit(route, head.view());
   });
   stats.outputs = stats.matches;
   // Same convention as execute_join: a kLocalJoin work unit is one row

@@ -44,7 +44,23 @@ core::EngineConfig serving_engine_config(core::EngineConfig e) {
   return e;
 }
 
-constexpr std::span<const value_t> kNoSide;  // absent side B of a copy rule
+/// Flatten tuples of one relation into row-major values.
+std::vector<value_t> flat_rows(std::span<const Tuple> rows) {
+  std::vector<value_t> flat;
+  for (const Tuple& t : rows) append_row(flat, t.view());
+  return flat;
+}
+
+/// Buffer the head of copy rule `c` over `row` for its owner, unless the
+/// rule's filter rejects the row.
+void emit_copy(const core::CopyRule& c, std::span<const value_t> row, Tuple& head,
+               std::vector<std::vector<value_t>>& out) {
+  core::RuleExecStats unused;
+  if (core::copy_row(c, row, head, unused)) {
+    append_row(out[static_cast<std::size_t>(c.out.target->owner_rank(head.view()))],
+               head.view());
+  }
+}
 
 }  // namespace
 
@@ -384,40 +400,27 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
   }
 }
 
-void ServingEngine::emit_candidates(
-    const core::Rule& rule, Relation* probe_rel, std::span<const Tuple> probe_rows,
-    std::unordered_map<Relation*, std::vector<std::vector<value_t>>>& cand) {
-  const auto& jr = std::get<core::JoinRule>(rule);
-  Relation* partner = probe_rel == jr.a ? jr.b : jr.a;
-  const bool probe_is_a = probe_rel == jr.a;
-  const auto n = static_cast<std::size_t>(comm_->size());
-
-  // Replicate each probe to every rank holding a sub-bucket of the
-  // partner's bucket (the probe's leading jcc columns ARE the join key).
-  std::vector<std::vector<value_t>> send(n);
+void ServingEngine::join_hop(const core::JoinRule& jr, const Relation& probe_rel,
+                             std::span<const value_t> probe,
+                             std::vector<std::vector<value_t>>& out) {
+  const bool probe_is_a = &probe_rel == jr.a;
+  const Relation& partner = probe_is_a ? *jr.b : *jr.a;
+  const std::size_t par = probe_rel.arity();
+  std::vector<std::vector<value_t>> send(static_cast<std::size_t>(comm_->size()));
   std::vector<int> dests;
-  for (const Tuple& p : probe_rows) {
-    partner->ranks_of_bucket(partner->bucket_of(p.view()), dests);
-    for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p.view());
+  for (std::size_t off = 0; off < probe.size(); off += par) {
+    const auto row = probe.subspan(off, par);
+    core::probe_dests(probe_rel, partner, row, dests);
+    for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], row);
   }
-  auto flat = exchange_flat(std::move(send));
-
-  Relation* t = jr.out.target;
-  auto& out = cand[t];
-  const std::size_t par = probe_rel->arity();
-  const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
-  std::vector<value_t> row;
-  for (std::size_t off = 0; off < flat.size(); off += par) {
-    const std::span<const value_t> prow{flat.data() + off, par};
-    ptree.scan_prefix(prow.first(partner->jcc()), [&](std::span<const value_t> q) {
-      const auto arow = probe_is_a ? prow : q;
-      const auto brow = probe_is_a ? q : prow;
-      if (jr.filter && jr.filter->eval(arow, brow) == 0) return;
-      row.clear();
-      for (const Expr& e : jr.out.cols) row.push_back(e.eval(arow, brow));
-      append_row(out[static_cast<std::size_t>(t->owner_rank(row))], row);
-    });
-  }
+  const auto flat = exchange_flat(std::move(send));
+  core::RuleExecStats unused;
+  core::join_sorted_batch(flat, probe_is_a, std::as_const(partner.tree(core::Version::kFull)),
+                          jr, unused, [&](std::span<const value_t> head) {
+                            append_row(out[static_cast<std::size_t>(
+                                           jr.out.target->owner_rank(head))],
+                                       head);
+                          });
 }
 
 void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retracted,
@@ -430,24 +433,18 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
     std::unordered_map<Relation*, std::vector<std::vector<value_t>>> cand;
     for (Relation* t : rec_targets_) cand[t].resize(n);
 
+    Tuple head;
     for (const core::Rule* rule : rec_rules_) {
+      auto& out = cand[target_of(*rule)];
       if (const auto* j = std::get_if<core::JoinRule>(rule)) {
         // At most one side has probes per round (round 1: the base side;
-        // later: the derived side), but both calls always run — the probe
+        // later: the derived side), but both hops always run — the probe
         // exchange is collective.
-        emit_candidates(*rule, j->a, rows_of(wave, j->a), cand);
-        emit_candidates(*rule, j->b, rows_of(wave, j->b), cand);
+        join_hop(*j, *j->a, flat_rows(rows_of(wave, j->a)), out);
+        join_hop(*j, *j->b, flat_rows(rows_of(wave, j->b)), out);
       } else {
         const auto& c = std::get<core::CopyRule>(*rule);
-        Relation* t = c.out.target;
-        auto& out = cand[t];
-        std::vector<value_t> row;
-        for (const Tuple& p : rows_of(wave, c.src)) {
-          if (c.filter && c.filter->eval(p.view(), kNoSide) == 0) continue;
-          row.clear();
-          for (const Expr& e : c.out.cols) row.push_back(e.eval(p.view(), kNoSide));
-          append_row(out[static_cast<std::size_t>(t->owner_rank(row))], row);
-        }
+        for (const Tuple& p : rows_of(wave, c.src)) emit_copy(c, p.view(), head, out);
       }
     }
 
@@ -526,13 +523,9 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
 
     // Enumerate premises; join rules take one more hop to pair them with
     // the partner side.
-    std::unordered_map<Relation*, std::vector<std::vector<value_t>>> cand;
-    cand[target].resize(n);
-    auto& out = cand[target];
-    std::vector<std::vector<value_t>> psend(n);
-    Relation* partner = j ? (rc.premise_is_b ? j->a : j->b) : nullptr;
-    const bool premise_is_a = j != nullptr && !rc.premise_is_b;
-    std::vector<value_t> row;
+    std::vector<std::vector<value_t>> out(n);
+    std::vector<value_t> premises;
+    Tuple head;
     const auto& stree = std::as_const(scan_rel->tree(core::Version::kFull));
     for (const value_t k0 : kset) {
       const value_t pfx[1] = {k0};
@@ -540,33 +533,13 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
         const std::span<const value_t> prow =
             rc.via == Recovery::Via::kReverseIndex ? srow.subspan(1) : srow;
         if (j != nullptr) {
-          partner->ranks_of_bucket(partner->bucket_of(prow), dests);
-          for (const int d : dests) append_row(psend[static_cast<std::size_t>(d)], prow);
+          append_row(premises, prow);
         } else {
-          const auto& c = std::get<core::CopyRule>(rule);
-          if (c.filter && c.filter->eval(prow, kNoSide) == 0) return;
-          row.clear();
-          for (const Expr& e : c.out.cols) row.push_back(e.eval(prow, kNoSide));
-          append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
+          emit_copy(std::get<core::CopyRule>(rule), prow, head, out);
         }
       });
     }
-    if (j != nullptr) {
-      auto pflat = exchange_flat(std::move(psend));
-      const std::size_t par = premise->arity();
-      const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
-      for (std::size_t off = 0; off < pflat.size(); off += par) {
-        const std::span<const value_t> prow{pflat.data() + off, par};
-        ptree.scan_prefix(prow.first(partner->jcc()), [&](std::span<const value_t> q) {
-          const auto arow = premise_is_a ? prow : q;
-          const auto brow = premise_is_a ? q : prow;
-          if (j->filter && j->filter->eval(arow, brow) == 0) return;
-          row.clear();
-          for (const Expr& e : j->out.cols) row.push_back(e.eval(arow, brow));
-          append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-        });
-      }
-    }
+    if (j != nullptr) join_hop(*j, *premise, premises, out);
 
     // Final hop: candidates to the target owner, staged ONLY for keys this
     // batch retracted — survivors keep their state, and the insert-seeding
@@ -590,39 +563,13 @@ void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retr
   for (const core::Rule* rule : rec_rules_) {
     Relation* target = target_of(*rule);
     std::vector<std::vector<value_t>> out(n);
-    std::vector<value_t> row;
-    std::vector<int> dests;
     if (const auto* jr = std::get_if<core::JoinRule>(rule)) {
       Relation* bside = is_base(jr->a) ? jr->a : jr->b;  // validated: exactly one
-      Relation* partner = bside == jr->a ? jr->b : jr->a;
-      const bool probe_is_a = bside == jr->a;
-      std::vector<std::vector<value_t>> send(n);
-      for (const Tuple& p : rows_of(inserted_base, bside)) {
-        partner->ranks_of_bucket(partner->bucket_of(p.view()), dests);
-        for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], p.view());
-      }
-      auto flat = exchange_flat(std::move(send));
-      const std::size_t par = bside->arity();
-      const auto& ptree = std::as_const(partner->tree(core::Version::kFull));
-      for (std::size_t off = 0; off < flat.size(); off += par) {
-        const std::span<const value_t> prow{flat.data() + off, par};
-        ptree.scan_prefix(prow.first(partner->jcc()), [&](std::span<const value_t> q) {
-          const auto arow = probe_is_a ? prow : q;
-          const auto brow = probe_is_a ? q : prow;
-          if (jr->filter && jr->filter->eval(arow, brow) == 0) return;
-          row.clear();
-          for (const Expr& e : jr->out.cols) row.push_back(e.eval(arow, brow));
-          append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-        });
-      }
+      join_hop(*jr, *bside, flat_rows(rows_of(inserted_base, bside)), out);
     } else {
       const auto& c = std::get<core::CopyRule>(*rule);
-      for (const Tuple& p : rows_of(inserted_base, c.src)) {
-        if (c.filter && c.filter->eval(p.view(), kNoSide) == 0) continue;
-        row.clear();
-        for (const Expr& e : c.out.cols) row.push_back(e.eval(p.view(), kNoSide));
-        append_row(out[static_cast<std::size_t>(target->owner_rank(row))], row);
-      }
+      Tuple head;
+      for (const Tuple& p : rows_of(inserted_base, c.src)) emit_copy(c, p.view(), head, out);
     }
     auto cflat = exchange_flat(std::move(out));
     const std::size_t tar = target->arity(), indep = target->indep_arity();

@@ -246,12 +246,14 @@ class ServingEngine {
   void apply_base(const UpdateBatch& batch, RowsBy& deleted, RowsBy& inserted,
                   UpdateResult& res);
 
-  /// Emit retraction candidates for every (probe row × partner full row)
-  /// pair of `rule` into `cand` (per-target, per-destination flat rows).
-  /// `probe_rel` is the rule side the wavefront invalidated.
-  void emit_candidates(const core::Rule& rule, Relation* probe_rel,
-                       std::span<const Tuple> probe_rows,
-                       std::unordered_map<Relation*, std::vector<std::vector<value_t>>>& cand);
+  /// One join hop, shared by the retraction wavefront, recovery and
+  /// insert seeding: replicate the flat `probe` rows of `probe_rel` (one
+  /// side of `jr`) to every rank holding the partner's bucket, join them
+  /// there against the partner's full version (core::join_sorted_batch),
+  /// and buffer each head row for its owner in `out` (per destination).
+  /// Collective, even with no probes.
+  void join_hop(const core::JoinRule& jr, const Relation& probe_rel,
+                std::span<const value_t> probe, std::vector<std::vector<value_t>>& out);
 
   /// Phase 1: DRed over-deletion wavefront.  Returns when globally
   /// quiescent; fills `retracted` with the keys removed on this rank.

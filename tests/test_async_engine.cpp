@@ -221,6 +221,13 @@ TEST(AsyncEngine, LoopIsCollectiveFreeAndPointToPoint) {
     EXPECT_GT(total_sent, 0u);
     EXPECT_EQ(total_recv, total_sent);  // quiescence = every send consumed
     EXPECT_GT(comm.allreduce<std::uint64_t>(ls.token_probes, vmpi::ReduceOp::kSum), 0u);
+
+    // The loop joins through the shared sorted-batch kernel and reports
+    // its counters like the BSP engine does.
+    EXPECT_GT(run.kernel.matches, 0u);
+    EXPECT_GT(run.kernel.probe_seeks, 0u);
+    EXPECT_LE(run.kernel.probe_seeks, run.kernel.probes);
+    EXPECT_LE(run.kernel_max.probes, run.kernel.probes);
   });
 }
 

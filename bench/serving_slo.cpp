@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
   // ---- incremental leg: one warm service absorbs the whole stream --------
   std::vector<double> inc_ms(nbatches, 0);
   std::vector<std::uint64_t> inc_tuples(nbatches, 0);
+  std::vector<serving::BatchStageSeconds> inc_stages(nbatches);
   std::vector<Tuple> inc_rows;
   double lookup_sec = 0;
   std::uint64_t lookups_done = 0;
@@ -128,7 +129,8 @@ int main(int argc, char** argv) {
       if (comm.rank() == 0) {
         inc_ms[static_cast<std::size_t>(i)] = ms_since(t0);
         inc_tuples[static_cast<std::size_t>(i)] = res.tuples_derived;
-        if (res.aborted_fault) aborted = true;
+        inc_stages[static_cast<std::size_t>(i)] = res.seconds;
+        if (res.aborted_fault || res.aborted_tuple_limit) aborted = true;
       }
     }
     // Sustained lookups on the warm service: every node, batched through
@@ -202,6 +204,24 @@ int main(int argc, char** argv) {
 
   std::printf("p99 apply latency   : %8.2f ms   (fresh mean %8.2f ms)\n", p99(inc_ms),
               fresh_mean);
+  // Where one batch's time goes (rank 0's stage clocks, median batch).
+  std::printf("apply stages, ms    :");
+  for (const auto& [name, field] :
+       {std::pair{"base", &serving::BatchStageSeconds::base},
+        std::pair{"wavefront", &serving::BatchStageSeconds::wavefront},
+        std::pair{"recovery", &serving::BatchStageSeconds::recovery},
+        std::pair{"seed", &serving::BatchStageSeconds::seed},
+        std::pair{"fold", &serving::BatchStageSeconds::fold},
+        std::pair{"tail", &serving::BatchStageSeconds::tail},
+        std::pair{"summary", &serving::BatchStageSeconds::summary},
+        std::pair{"commit", &serving::BatchStageSeconds::commit}}) {
+    std::vector<double> ms;
+    for (const auto& st : inc_stages) ms.push_back(1e3 * (st.*field));
+    std::nth_element(ms.begin(), ms.begin() + static_cast<std::ptrdiff_t>(ms.size() / 2),
+                     ms.end());
+    std::printf(" %s %.3f", name, ms[ms.size() / 2]);
+  }
+  std::printf("\n");
   std::printf("derived tuple work  : %8llu      (recompute %8llu)\n",
               static_cast<unsigned long long>(inc_total),
               static_cast<unsigned long long>(fresh_total));

@@ -1164,6 +1164,10 @@ core::RunResult AsyncEngine::run(core::Program& program) {
 
   core::RunResult result;
   const auto t0 = std::chrono::steady_clock::now();
+  // Per-run accounting, as in core::Engine::run_from: the summary below
+  // describes this run only.
+  profile_ = core::RankProfile{};
+  local_kernel_ = core::JoinKernelTotals{};
   try {
     for (const auto& stratum : program.strata()) {
       auto sr = run_stratum(*stratum);

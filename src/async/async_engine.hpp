@@ -185,9 +185,9 @@ class AsyncEngine {
  private:
   vmpi::Comm* comm_;
   AsyncConfig cfg_;
-  core::RankProfile profile_;
+  core::RankProfile profile_;            // reset by every run()
   AsyncLoopStats loop_stats_;
-  core::JoinKernelTotals local_kernel_;  // this rank's share; reduced in run()
+  core::JoinKernelTotals local_kernel_;  // this rank's share; reset and reduced in run()
   std::uint64_t stratum_seq_ = 0;  // offsets detector tags per stratum
 };
 

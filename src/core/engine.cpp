@@ -256,6 +256,14 @@ RunResult Engine::run_from(Program& program, std::size_t first_stratum,
   const auto t0 = std::chrono::steady_clock::now();
   program_ = &program;
   prior_iterations_ = prior_iterations;
+  // Every run accounts for itself alone.  An engine that lives across
+  // many runs (serving's resident engine runs once per batch) would
+  // otherwise summarize, allgather and re-parse its whole history at the
+  // end of each one, and its tuple limit would count every earlier run.
+  profile_ = RankProfile{};
+  local_kernel_ = JoinKernelTotals{};
+  local_skew_ = SkewStats{};
+  cumulative_materialized_ = 0;
 
   try {
     const auto& strata = program.strata();

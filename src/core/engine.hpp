@@ -62,10 +62,11 @@ struct EngineConfig {
   /// that forgot to set max_rounds).
   std::size_t max_iterations = 1'000'000;
 
-  /// Abort a stratum once the cumulative number of materialized tuples
-  /// exceeds this bound — the reproduction's stand-in for running a
-  /// materializing query out of memory (the Table I "N/A" entries and the
-  /// §V-A observation that Datalog CC cannot avoid the node product).
+  /// Abort a stratum once the number of tuples materialized since the
+  /// start of the current run (run / resume / run_delta) exceeds this
+  /// bound — the reproduction's stand-in for running a materializing
+  /// query out of memory (the Table I "N/A" entries and the §V-A
+  /// observation that Datalog CC cannot avoid the node product).
   std::uint64_t tuple_limit = std::numeric_limits<std::uint64_t>::max();
 
   /// Write a checkpoint manifest (core/checkpoint.hpp) every this many
@@ -151,7 +152,11 @@ class Engine {
  public:
   Engine(vmpi::Comm& comm, EngineConfig cfg = {}) : comm_(&comm), cfg_(cfg) {}
 
+  /// This rank's per-iteration records.  run(), resume() and run_delta()
+  /// start from an empty profile, so after one of them it holds that run
+  /// only; bare run_stratum() calls accumulate.
   [[nodiscard]] RankProfile& rank_profile() { return profile_; }
+  [[nodiscard]] const RankProfile& rank_profile() const { return profile_; }
   [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
   /// Execute one stratum to completion.  Collective.  `start_iteration`
@@ -213,6 +218,8 @@ class Engine {
 
   vmpi::Comm* comm_;
   EngineConfig cfg_;
+  // Per-run accounting: run_from() resets all four, so each RunResult
+  // describes its own run only.
   RankProfile profile_;
   std::uint64_t cumulative_materialized_ = 0;
   JoinKernelTotals local_kernel_;  // this rank's share; summed in run()

@@ -95,6 +95,7 @@ int Relation::route_rank(std::span<const value_t> tuple) const {
 
 std::uint64_t Relation::adopt_hot_keys(std::vector<Tuple> keys) {
   assert(staged_count() == 0 && "hot-set switches must run between iterations");
+  assert(!journaling_ && "hot-set switches are not journaled");
   if (effective_sub_cols() == 0) return 0;  // H2 has nothing to spread by
 
   // Only keys whose hotness *changed* move; a key hot before and after
@@ -153,6 +154,7 @@ void Relation::stage(std::span<const value_t> tuple) {
   assert(route_rank(tuple) == comm_->rank() && "tuple staged on the wrong rank");
   if (support_counts_) {
     // Count the derivation event before any same-iteration collapse below.
+    journal(tuple.first(indep_arity()));
     ++support_[Tuple(tuple.subspan(0, indep_arity()))];
   }
   if (!aggregated()) {
@@ -205,6 +207,7 @@ MaterializeResult Relation::materialize() {
   if (!aggregated()) {
     res.staged = staged_set_.size();
     for (const auto& t : staged_set_) {
+      journal(t.view());
       if (full_.insert(t)) {
         fresh.insert(fresh.end(), t.view().begin(), t.view().end());
         ++res.inserted;
@@ -226,6 +229,7 @@ MaterializeResult Relation::materialize() {
     res.inserted = res.staged;
     staged_agg_.clear();
     full_.sort_run(rows);
+    set_aside(Version::kFull);
     full_.build_sorted(rows);
   } else {
     // Lattice mode: fused dedup/aggregation (paper §IV-A).
@@ -234,6 +238,7 @@ MaterializeResult Relation::materialize() {
     for (const auto& [key, dep] : staged_agg_) {
       const std::span<value_t> cur = full_.find_key(key.view());
       if (cur.empty()) {
+        journal(key.view());
         fresh.insert(fresh.end(), key.view().begin(), key.view().end());
         fresh.insert(fresh.end(), dep.view().begin(), dep.view().end());
         full_.insert(std::span<const value_t>(fresh).last(ar));
@@ -248,6 +253,7 @@ MaterializeResult Relation::materialize() {
       // In-place payload rewrite through the mutable find_key span; the key
       // columns stay untouched so the tree stays ordered.  The row is copied
       // out now: the next full_.insert may move it.
+      journal(key.view());
       std::copy(merged.begin(), merged.end(), cur_dep.begin());
       fresh.insert(fresh.end(), cur.begin(), cur.end());
       ++res.updated;
@@ -255,12 +261,16 @@ MaterializeResult Relation::materialize() {
     staged_agg_.clear();
   }
   delta_.sort_run(fresh);
+  set_aside(Version::kDelta);
   delta_.build_sorted(fresh);
   res.delta_size = delta_.size();
   return res;
 }
 
 void Relation::reset() {
+  set_aside(Version::kFull);
+  set_aside(Version::kDelta);
+  set_aside_support();
   full_.clear();
   delta_.clear();
   staged_set_.clear();
@@ -270,31 +280,87 @@ void Relation::reset() {
   hot_set_.clear();
 }
 
-Relation::LocalSnapshot Relation::snapshot() const {
-  assert(staged_set_.empty() && staged_agg_.empty() &&
-         "snapshot is only legal between iterations");
-  LocalSnapshot s;
-  s.full.reserve(full_.size() * cfg_.arity);
-  full_.for_each([&](std::span<const value_t> row) {
-    s.full.insert(s.full.end(), row.begin(), row.end());
-  });
-  s.delta.reserve(delta_.size() * cfg_.arity);
-  delta_.for_each([&](std::span<const value_t> row) {
-    s.delta.insert(s.delta.end(), row.begin(), row.end());
-  });
-  s.support.assign(support_.begin(), support_.end());
-  return s;
+void Relation::set_aside(Version v) {
+  auto& aside = v == Version::kFull ? aside_full_ : aside_delta_;
+  if (!journaling_ || aside) return;
+  aside.emplace(cfg_.arity, indep_arity());
+  std::swap(*aside, tree(v));
 }
 
-void Relation::restore(const LocalSnapshot& snap) {
+void Relation::set_aside_support() {
+  if (!journaling_ || aside_support_) return;
+  aside_support_.emplace();
+  std::swap(*aside_support_, support_);
+}
+
+void Relation::journal(std::span<const value_t> key) {
+  if (!journaling_) return;
+  std::uint8_t want = 0;
+  if (!aside_full_) want |= UndoEntry::kFull;
+  if (!aside_delta_) want |= UndoEntry::kDelta;
+  if (!aside_support_) want |= UndoEntry::kSupport;
+  if (want == 0) return;  // every container is aside: undo restores them whole
+  if (!touched_.emplace(key).second) return;  // pre-batch image already logged
+  UndoEntry e;
+  e.key = Tuple(key);
+  e.logged = want;
+  if ((want & UndoEntry::kFull) != 0) e.full = Tuple(std::as_const(full_).find_key(key));
+  if ((want & UndoEntry::kDelta) != 0) e.delta = Tuple(std::as_const(delta_).find_key(key));
+  if ((want & UndoEntry::kSupport) != 0) {
+    if (const auto it = support_.find(e.key); it != support_.end()) e.support = it->second;
+  }
+  undo_.push_back(std::move(e));
+}
+
+void Relation::begin_batch() {
+  assert(!journaling_ && staged_count() == 0 && "batches begin between iterations");
+  journaling_ = true;
+}
+
+void Relation::commit_batch() {
+  journaling_ = false;
+  // Fresh containers, not clear(): a rare large batch must not leave its
+  // bucket array behind for every later batch to sweep.
+  undo_ = {};
+  touched_ = {};
+  aside_full_.reset();
+  aside_delta_.reset();
+  aside_support_.reset();
+}
+
+void Relation::undo_batch() {
+  assert(journaling_);
   staged_set_.clear();
   staged_agg_.clear();
-  // snapshot() wrote both runs with for_each: already in key order.
-  full_.build_sorted(snap.full);
-  delta_.build_sorted(snap.delta);
-  support_.clear();
-  support_.reserve(snap.support.size());
-  for (const auto& [key, count] : snap.support) support_.emplace(key, count);
+  if (aside_full_) full_ = std::move(*aside_full_);
+  if (aside_delta_) delta_ = std::move(*aside_delta_);
+  if (aside_support_) support_ = std::move(*aside_support_);
+  // Restore one tree row to its pre-batch image (empty = absent).
+  const auto put_back = [](storage::TupleBTree& t, const UndoEntry& e, const Tuple& pre) {
+    if (pre.empty()) {
+      t.erase_key(e.key.view());
+      return;
+    }
+    const auto cur = t.find_key(e.key.view());
+    if (cur.empty()) {
+      t.insert(pre.view());
+    } else {
+      std::copy(pre.view().begin(), pre.view().end(), cur.begin());
+    }
+  };
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    const UndoEntry& e = *it;
+    if ((e.logged & UndoEntry::kFull) != 0) put_back(full_, e, e.full);
+    if ((e.logged & UndoEntry::kDelta) != 0) put_back(delta_, e, e.delta);
+    if ((e.logged & UndoEntry::kSupport) != 0) {
+      if (e.support) {
+        support_[e.key] = *e.support;
+      } else {
+        support_.erase(e.key);
+      }
+    }
+  }
+  commit_batch();  // the log is spent
 }
 
 std::uint64_t Relation::support_of(std::span<const value_t> key) const {
@@ -307,6 +373,7 @@ std::uint64_t Relation::support_release(std::span<const value_t> key, std::uint6
   assert(key.size() == indep_arity());
   const auto it = support_.find(Tuple(key));
   if (it == support_.end()) return 0;
+  journal(key);
   it->second = it->second > n ? it->second - n : 0;
   return it->second;
 }
@@ -317,10 +384,19 @@ Tuple Relation::retract_key(std::span<const value_t> key) {
   const auto stored = std::as_const(full_).find_key(key);
   if (stored.empty()) return removed;
   removed = Tuple(stored);
+  journal(key);
   full_.erase_key(key);
   delta_.erase_key(key);  // a same-batch re-derivation may have put it there
   support_.erase(Tuple(key));
   return removed;
+}
+
+bool Relation::insert_full(std::span<const value_t> row) {
+  assert(row.size() == cfg_.arity);
+  const auto key = row.first(indep_arity());
+  if (std::as_const(full_).contains_key(key)) return false;
+  journal(key);
+  return full_.insert(row);
 }
 
 namespace {
@@ -343,6 +419,7 @@ std::vector<value_t> concat_rows(const std::vector<vmpi::Bytes>& bufs) {
 
 void Relation::load_facts(std::span<const Tuple> slice) {
   assert(staged_count() == 0 && "facts load between iterations");
+  assert(!journaling_ && "fact loads are not journaled");
   const auto n = static_cast<std::size_t>(comm_->size());
   std::vector<vmpi::BufferWriter> outgoing(n);
   for (const auto& t : slice) {
@@ -460,6 +537,7 @@ std::vector<Tuple> Relation::gather_to_root(int root) {
 std::uint64_t Relation::reshuffle_to_sub_buckets(int new_sub_buckets,
                                                  std::uint64_t* cross_bytes) {
   assert(new_sub_buckets >= 1);
+  assert(!journaling_ && "reshuffles are not journaled");
   if (cross_bytes != nullptr) *cross_bytes = 0;
   if (effective_sub_cols() == 0) new_sub_buckets = 1;
   const int old_sub = sub_buckets_;

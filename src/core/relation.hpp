@@ -24,6 +24,7 @@
 // Fact loading bypasses staging: it sorts the received rows, folds equal
 // keys and bulk-builds the trees (DESIGN.md §5.1).
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -165,8 +166,10 @@ class Relation {
   MaterializeResult materialize();
 
   /// Drop every tuple and staged row (full, delta, staging).  Local; the
-  /// checkpoint-restore path clears a relation before repopulating it.
-  /// Support counts (when enabled) are cleared too.
+  /// checkpoint-restore path clears a relation before repopulating it,
+  /// and serving clears projection targets before each batch re-derives
+  /// them.  Support counts (when enabled) are cleared too.  Inside a batch
+  /// the old full, delta and support map are moved aside, not freed.
   void reset();
 
   // -- support counts (incremental serving) ------------------------------------
@@ -209,24 +212,44 @@ class Relation {
     return aggregated() ? staged_agg_.size() : staged_set_.size();
   }
 
-  // -- batch rollback (serving graceful degradation) ---------------------------
+  /// Every support entry (key -> count).  Local; read-only view for
+  /// diagnostics and tests.
+  [[nodiscard]] const std::unordered_map<Tuple, std::uint64_t, storage::TupleHash>&
+  support_counts() const {
+    return support_;
+  }
 
-  /// Local flat copy of everything a serving batch can mutate: full rows,
-  /// delta rows, and the support-count map.  Staging is not captured — a
-  /// snapshot is only legal between iterations (staging empty), which is
-  /// where the serving engine takes it.
-  struct LocalSnapshot {
-    std::vector<value_t> full;   // flat stored-order rows
-    std::vector<value_t> delta;
-    std::vector<std::pair<Tuple, std::uint64_t>> support;
-  };
-  [[nodiscard]] LocalSnapshot snapshot() const;
+  /// Insert `row` into full unless its key is already stored; true iff it
+  /// was added.  Local.  The serving engine's base and reverse-index
+  /// mutations go through here (and retract_key) so a batch journals them.
+  bool insert_full(std::span<const value_t> row);
 
-  /// Restore exactly the state captured by snapshot(): full/delta rebuilt
-  /// from the snapshot's key-ordered runs, staging cleared, support map
-  /// replaced.  Local; the serving engine calls it on every rank after an
-  /// aborted batch.
-  void restore(const LocalSnapshot& snap);
+  // -- batch undo log (serving rollback) ---------------------------------------
+  //
+  // Between begin_batch() and commit_batch() / undo_batch() the relation
+  // journals its own mutations.  The first time the batch touches a key,
+  // the log records that key's pre-batch image in full (absent, or the
+  // old row), in delta (the same) and in the support map (absent, or the
+  // old count).  Wholesale replacements move the old container aside in
+  // O(1) instead of logging it row by row: the batch's first delta rebuild
+  // moves the pre-batch delta aside, and reset() moves full, delta and the
+  // support map aside.  So a batch costs O(keys it touches), never
+  // O(state).  Staging is not journaled: a batch begins between
+  // iterations, and undo_batch() clears whatever an abort left staged.
+
+  /// Start journaling.  Local; legal only between iterations, outside a
+  /// batch.
+  void begin_batch();
+  /// Keep the batch: drop the log and the moved-aside containers.  Local.
+  void commit_batch();
+  /// Return to exactly the state at begin_batch(): restore the moved-aside
+  /// containers, then replay the log backwards.  Local; the serving engine
+  /// calls it on every rank after an aborted batch.
+  void undo_batch();
+  /// Between begin_batch() and commit_batch() / undo_batch()?
+  [[nodiscard]] bool in_batch() const { return journaling_; }
+  /// Keys the current batch has journaled so far.
+  [[nodiscard]] std::size_t undo_entries() const { return undo_.size(); }
 
   // -- collective operations ----------------------------------------------------
 
@@ -287,6 +310,14 @@ class Relation {
   [[nodiscard]] std::size_t effective_sub_cols() const {
     return indep_arity() - cfg_.jcc;  // columns feeding H2
   }
+  /// Log `key`'s pre-batch image before its first mutation in a batch
+  /// (no-op outside a batch, for a key already logged, or when every
+  /// container it lives in was moved aside).
+  void journal(std::span<const value_t> key);
+  /// Before a wholesale replacement of `v`: move it aside in a batch (the
+  /// first time only); outside a batch, a no-op.
+  void set_aside(Version v);
+  void set_aside_support();
 
   vmpi::Comm* comm_;
   RelationConfig cfg_;
@@ -303,6 +334,22 @@ class Relation {
   // Derivation-event counts per key (serving mode only; empty otherwise).
   bool support_counts_ = false;
   std::unordered_map<Tuple, std::uint64_t, storage::TupleHash> support_;
+
+  // Batch undo log (see begin_batch).  One entry per key the batch
+  // touched; a part is logged only if its container was still in place.
+  struct UndoEntry {
+    static constexpr std::uint8_t kFull = 1, kDelta = 2, kSupport = 4;
+    Tuple key;
+    Tuple full;   // pre-batch full row; empty = absent
+    Tuple delta;  // pre-batch delta row; empty = absent
+    std::optional<std::uint64_t> support;  // pre-batch count; nullopt = absent
+    std::uint8_t logged = 0;               // which of kFull / kDelta / kSupport
+  };
+  bool journaling_ = false;
+  std::vector<UndoEntry> undo_;
+  std::unordered_set<Tuple, storage::TupleHash> touched_;  // keys in undo_
+  std::optional<storage::TupleBTree> aside_full_, aside_delta_;
+  std::optional<std::unordered_map<Tuple, std::uint64_t, storage::TupleHash>> aside_support_;
 
   // Hot set (both containers hold the same keys; the vector preserves the
   // deterministic adoption order, the set answers key_is_hot in O(1)).

@@ -1,6 +1,7 @@
 #include "serving/serving_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <unordered_set>
@@ -228,28 +229,32 @@ std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_
   return flat;
 }
 
-std::vector<std::pair<Relation*, Relation::LocalSnapshot>> ServingEngine::snapshot_all()
-    const {
-  std::vector<std::pair<Relation*, Relation::LocalSnapshot>> snaps;
-  if (!cfg_.rollback) return snaps;
-  for (const auto& rel : program_->relations()) {
-    snaps.emplace_back(rel.get(), rel->snapshot());
-  }
-  for (const auto& rev : rev_store_) snaps.emplace_back(rev.get(), rev->snapshot());
-  return snaps;
+std::vector<Relation*> ServingEngine::mutable_relations() const {
+  std::vector<Relation*> out;
+  for (const auto& rel : program_->relations()) out.push_back(rel.get());
+  for (const auto& rev : rev_store_) out.push_back(rev.get());
+  return out;
 }
 
-bool ServingEngine::roll_back(
-    std::vector<std::pair<Relation*, Relation::LocalSnapshot>>& snaps,
-    UpdateResult& res) {
-  if (snaps.empty()) return false;  // rollback disabled
+std::vector<const Relation*> ServingEngine::reverse_indexes() const {
+  std::vector<const Relation*> out;
+  for (const auto& rev : rev_store_) out.push_back(rev.get());
+  return out;
+}
+
+bool ServingEngine::roll_back(bool after_fault, UpdateResult& res) {
+  if (!cfg_.rollback) return false;  // nothing was journaled
+  const auto rels = mutable_relations();
   // Collective un-poisoning: every live rank parks in the reset
   // rendezvous (peers of a killed rank arrive once their watchdog fires
   // and their own abort unwinds to here).  A rank that never arrives
   // means real process death — the rendezvous times out, the world stays
   // poisoned, and this engine stops serving.
-  if (!comm_->fault_reset(cfg_.rollback_timeout_seconds)) return false;
-  for (auto& [rel, snap] : snaps) rel->restore(snap);
+  if (after_fault && !comm_->fault_reset(cfg_.rollback_timeout_seconds)) {
+    for (Relation* r : rels) r->commit_batch();  // no way back; stop journaling
+    return false;
+  }
+  for (Relation* r : rels) r->undo_batch();
   res.rolled_back = true;
   return true;
 }
@@ -308,13 +313,8 @@ void ServingEngine::build_reverse_indexes() {
   }
 }
 
-void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
-                               RowsBy& inserted, UpdateResult& res) {
-  const auto n = static_cast<std::size_t>(comm_->size());
-
-  // Validate and group this rank's contributions per base relation.
-  std::unordered_map<Relation*, std::pair<std::vector<const Tuple*>, std::vector<const Tuple*>>>
-      byrel;  // relation -> (inserts, deletes)
+ServingEngine::GroupedBatch ServingEngine::group_batch(const UpdateBatch& batch) const {
+  GroupedBatch byrel;
   for (const auto& rd : batch) {
     Relation* r = find_relation(rd.relation);
     if (!is_base(r)) {
@@ -335,7 +335,12 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
       del.push_back(&t);
     }
   }
+  return byrel;
+}
 
+void ServingEngine::apply_base(const GroupedBatch& byrel, RowsBy& deleted, RowsBy& inserted,
+                               UpdateResult& res) {
+  const auto n = static_cast<std::size_t>(comm_->size());
   // Route to owners and mutate.  Deletes apply before inserts, so a row
   // both deleted and inserted in one batch nets to the insert.  The owner
   // records only what actually changed — duplicate contributions (or a
@@ -355,7 +360,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     auto dflat = exchange_flat(std::move(del));
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       const std::span<const value_t> row{dflat.data() + off, ar};
-      if (b->tree(core::Version::kFull).erase_key(row)) {
+      if (!b->retract_key(row.first(b->indep_arity())).empty()) {
         deleted[b].emplace_back(row);
         ++res.base_deleted;
       } else {
@@ -365,7 +370,7 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     auto iflat = exchange_flat(std::move(ins));
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       const std::span<const value_t> row{iflat.data() + off, ar};
-      if (b->tree(core::Version::kFull).insert(row)) {
+      if (b->insert_full(row)) {
         inserted[b].emplace_back(row);
         ++res.base_inserted;
       }
@@ -389,13 +394,11 @@ void ServingEngine::apply_base(const UpdateBatch& batch, RowsBy& deleted,
     const std::size_t ar = rs.rev->arity();
     auto dflat = exchange_flat(std::move(del));
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
-      rs.rev->tree(core::Version::kFull)
-          .erase_key(std::span<const value_t>{dflat.data() + off, ar});
+      (void)rs.rev->retract_key(std::span<const value_t>{dflat.data() + off, ar});
     }
     auto iflat = exchange_flat(std::move(ins));
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
-      rs.rev->tree(core::Version::kFull)
-          .insert(std::span<const value_t>{iflat.data() + off, ar});
+      rs.rev->insert_full(std::span<const value_t>{iflat.data() + off, ar});
     }
   }
 }
@@ -589,33 +592,57 @@ void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retr
 UpdateResult ServingEngine::apply_updates(const UpdateBatch& batch) {
   if (!ready_) throw ServingError("apply_updates before start()");
   UpdateResult res;
-  // Pre-batch undo log: everything below stages against this, so an
+  // Validate before journaling: a malformed batch throws with nothing
+  // changed and no batch open.
+  const auto byrel = group_batch(batch);
+  // Every mutation below is journaled in its relation's undo log, so an
   // aborted batch can restore the fixpoint instead of killing the engine.
-  auto snaps = snapshot_all();
+  const auto journaled = cfg_.rollback ? mutable_relations() : std::vector<Relation*>{};
+  for (Relation* r : journaled) r->begin_batch();
+  auto stage_start = std::chrono::steady_clock::now();
+  const auto lap = [&stage_start](double& stage) {
+    const auto now = std::chrono::steady_clock::now();
+    stage = std::chrono::duration<double>(now - stage_start).count();
+    stage_start = now;
+  };
+  // Shared tail of every abort path: roll back or stop serving.
+  const auto abort_batch = [&](bool after_fault) {
+    if (!roll_back(after_fault, res)) ready_ = false;
+    lap(res.seconds.commit);
+    return res;
+  };
   try {
     RowsBy deleted, inserted;
-    apply_base(batch, deleted, inserted, res);
+    apply_base(byrel, deleted, inserted, res);
+    lap(res.seconds.base);
 
     KeysBy retracted;
     retract_wavefront(deleted, retracted, res);
+    lap(res.seconds.wavefront);
     recover_retracted(retracted, res);
+    lap(res.seconds.recovery);
     seed_inserts(inserted, retracted, res);
+    lap(res.seconds.seed);
 
     // Fold the combined seed (recovered + newly derived) into full/delta.
     for (Relation* t : rec_targets_) res.tuples_derived += t->materialize().staged;
-
     // Projections are cheap full rebuilds over the evolved state.
     for (Relation* t : proj_targets_) t->reset();
+    lap(res.seconds.fold);
 
     const auto run = engine_.run_delta(*program_);
     res.tail_iterations = run.total_iterations;
-    if (run.aborted_fault) {
+    lap(res.seconds.tail);
+    if (run.aborted_fault || run.aborted_tuple_limit) {
       // The engine caught the fault internally (e.g. this rank is the
       // kill victim) — same degradation path as the catch blocks below.
-      res.aborted_fault = true;
+      // A tail cut by the tuple limit stopped short of the fixpoint: it
+      // is no answer to serve either.  Every rank sees the limit alike
+      // (it is checked on an allreduced count), so no reset is needed.
+      res.aborted_fault = run.aborted_fault;
+      res.aborted_tuple_limit = run.aborted_tuple_limit;
       res.fault_what = run.fault_what;
-      if (!roll_back(snaps, res)) ready_ = false;
-      return res;
+      return abort_batch(run.aborted_fault);
     }
     for (const auto& s : run.strata) res.tuples_derived += s.tuples_generated;
 
@@ -644,6 +671,7 @@ UpdateResult ServingEngine::apply_updates(const UpdateBatch& batch) {
       core::write_manifest(*program_, cfg_.manifest_path, core::ManifestHeader{0, 0, 0});
       res.checkpointed = true;
     }
+    lap(res.seconds.summary);
   } catch (const vmpi::FaultError& e) {
     // Same contract as Engine::run_from: poison the world (idempotent) so
     // peers unwind — then try to roll the batch back and keep serving.
@@ -652,14 +680,19 @@ UpdateResult ServingEngine::apply_updates(const UpdateBatch& batch) {
     comm_->world().fault_abort();
     res.aborted_fault = true;
     res.fault_what = e.what();
-    if (!roll_back(snaps, res)) ready_ = false;
+    return abort_batch(true);
   } catch (const vmpi::WorldAborted& e) {
     // A peer already poisoned the world (its fault fired first); unwind
     // to the same aborted result.
     res.aborted_fault = true;
     res.fault_what = e.what();
-    if (!roll_back(snaps, res)) ready_ = false;
+    return abort_batch(true);
   }
+  for (Relation* r : journaled) {
+    res.undo_entries += r->undo_entries();
+    r->commit_batch();
+  }
+  lap(res.seconds.commit);
   return res;
 }
 

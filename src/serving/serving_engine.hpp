@@ -86,11 +86,12 @@ struct ServingConfig {
   std::string manifest_path;
   /// Write a manifest every this many applied batches (0 = never).
   std::size_t checkpoint_every_batches = 0;
-  /// Stage every batch against a pre-batch snapshot of the mutable
-  /// relations, so an aborted batch (retry budget exhausted, rank killed
-  /// mid-batch) rolls back to the pre-batch fixpoint and the engine keeps
-  /// serving lookups — graceful degradation instead of process restart.
-  /// Costs one flat copy of every relation per batch.
+  /// Journal every batch in the relations' undo logs (core::Relation::
+  /// begin_batch), so an aborted batch (retry budget exhausted, rank
+  /// killed mid-batch, tail cut by the engine's tuple limit) rolls back
+  /// to the pre-batch fixpoint and the engine keeps serving lookups —
+  /// graceful degradation instead of process restart.  Costs O(keys the
+  /// batch touches), not O(state).
   bool rollback = true;
   /// Rendezvous deadline (seconds) for the post-abort world reset; every
   /// live rank must arrive within it or the rollback is abandoned (a rank
@@ -114,9 +115,23 @@ struct RelationDelta {
 
 using UpdateBatch = std::vector<RelationDelta>;
 
+/// This rank's wall seconds in each stage of one apply_updates.  Not
+/// reduced across ranks (a reduction would cost the batch a collective);
+/// a stage's critical path is the max over ranks.
+struct BatchStageSeconds {
+  double base = 0;       // apply_base: route and apply base rows and reverse indexes
+  double wavefront = 0;  // DRed over-deletion
+  double recovery = 0;   // re-derive retracted keys from survivors
+  double seed = 0;       // stage the inserted facts' consequences
+  double fold = 0;       // materialize the seed, clear projection targets
+  double tail = 0;       // Engine::run_delta to the new fixpoint
+  double summary = 0;    // recovered count, cross-rank counter fold, manifest
+  double commit = 0;     // undo-log commit (or rollback on an abort)
+};
+
 /// What one apply_updates did.  Identical on every rank (folded from an
-/// allreduce) unless aborted_fault, in which case only the abort fields
-/// are meaningful.
+/// allreduce), except `undo_entries` and `seconds` (this rank's), unless
+/// the batch aborted, in which case only the abort fields are meaningful.
 struct UpdateResult {
   std::uint64_t base_inserted = 0;    // base rows actually added
   std::uint64_t base_deleted = 0;     // base rows actually removed
@@ -131,10 +146,19 @@ struct UpdateResult {
   std::uint64_t tuples_derived = 0;
   std::size_t tail_iterations = 0;    // loop iterations of the tail fixpoint
   bool checkpointed = false;          // this batch wrote a rolling manifest
+  /// Undo-log entries this rank's relations held at commit: one per key
+  /// the batch touched in a relation whose containers were not moved
+  /// aside wholesale.  0 with rollback off.
+  std::uint64_t undo_entries = 0;
+  BatchStageSeconds seconds;
+  /// The tail stopped at EngineConfig::tuple_limit short of the new
+  /// fixpoint.  Handled like aborted_fault: rolled back when rollback is
+  /// on, else the engine stops serving.
+  bool aborted_tuple_limit = false;
   bool aborted_fault = false;
   /// The aborted batch was undone: the fixpoint is back at its pre-batch
   /// state and the engine still serves lookups (re-apply the batch to
-  /// retry).  False with aborted_fault set = rollback disabled or a rank
+  /// retry).  False with an abort flag set = rollback disabled or a rank
   /// is truly gone; the engine stopped serving.
   bool rolled_back = false;
   std::string fault_what;
@@ -191,6 +215,12 @@ class ServingEngine {
   /// Batches applied since start().
   [[nodiscard]] std::uint64_t batches_applied() const { return batches_applied_; }
 
+  /// The resident engine (its rank_profile() holds the last run only).
+  [[nodiscard]] const core::Engine& engine() const { return engine_; }
+
+  /// The serving-owned reverse indexes (see RevSpec), in creation order.
+  [[nodiscard]] std::vector<const Relation*> reverse_indexes() const;
+
  private:
   /// How recovery locates the premises of a retracted key in one
   /// producing rule: the head key column is a plain column of one body
@@ -216,6 +246,10 @@ class ServingEngine {
     Relation* rev = nullptr;
   };
 
+  // This rank's contributions per base relation: (inserts, deletes).
+  using GroupedBatch =
+      std::unordered_map<Relation*,
+                         std::pair<std::vector<const Tuple*>, std::vector<const Tuple*>>>;
   // Per-relation mutation lists keyed by the relation (owner-side rows).
   using RowsBy = std::unordered_map<Relation*, std::vector<Tuple>>;
   // Retracted keys per derived relation (owner-side, this batch).
@@ -229,21 +263,25 @@ class ServingEngine {
   /// frame surfaces as a typed FrameDecodeError, never silent garbage).
   std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send);
 
-  /// Snapshot every mutable relation (cfg_.rollback only; empty otherwise).
-  [[nodiscard]] std::vector<std::pair<Relation*, Relation::LocalSnapshot>>
-  snapshot_all() const;
+  /// Every relation a batch can mutate: the program's and the reverse
+  /// indexes.
+  [[nodiscard]] std::vector<Relation*> mutable_relations() const;
 
-  /// Collective recovery from an aborted batch: un-poison the world
-  /// (Comm::fault_reset rendezvous) and restore the pre-batch snapshots.
-  /// Returns true when the engine is back at the pre-batch fixpoint and
-  /// still serving; false (rollback disabled / rendezvous timed out) means
-  /// the engine stops serving.
-  bool roll_back(std::vector<std::pair<Relation*, Relation::LocalSnapshot>>& snaps,
-                 UpdateResult& res);
+  /// Recovery from an aborted batch: after a fault, un-poison the world
+  /// (Comm::fault_reset rendezvous; not needed for a tuple-limit abort,
+  /// which every rank sees alike on a healthy world), then undo the batch
+  /// in every relation.  Returns true when the engine is back at the
+  /// pre-batch fixpoint and still serving; false (rollback disabled /
+  /// rendezvous timed out) means the engine stops serving.
+  bool roll_back(bool after_fault, UpdateResult& res);
 
-  /// Phase 0: route the batch to base owners, mutate base full versions
-  /// and reverse indexes, record what actually changed.
-  void apply_base(const UpdateBatch& batch, RowsBy& deleted, RowsBy& inserted,
+  /// Validate the batch (base targets, row arities; ServingError
+  /// otherwise) and group this rank's rows per base relation.  Local.
+  [[nodiscard]] GroupedBatch group_batch(const UpdateBatch& batch) const;
+
+  /// Phase 0: route the grouped batch to base owners, mutate base full
+  /// versions and reverse indexes, record what actually changed.
+  void apply_base(const GroupedBatch& byrel, RowsBy& deleted, RowsBy& inserted,
                   UpdateResult& res);
 
   /// One join hop, shared by the retraction wavefront, recovery and

@@ -231,6 +231,51 @@ TEST(AsyncEngine, LoopIsCollectiveFreeAndPointToPoint) {
   });
 }
 
+TEST(AsyncEngine, EachRunAccountsForItselfOnly) {
+  // As core::Engine: a second run on one AsyncEngine reports that run
+  // alone, matching a fresh engine's run on the same input.  One rank
+  // keeps the local-round schedule (and so every counter) deterministic.
+  const auto g = graph::make_chain(40, /*max_weight=*/3);
+  vmpi::run(1, [&](vmpi::Comm& comm) {
+    const auto run_once = [&](async::AsyncEngine& engine) {
+      core::Program program(comm);
+      auto* edge = program.relation({.name = "edge", .arity = 3, .jcc = 1});
+      auto* spath = program.relation({.name = "spath",
+                                      .arity = 3,
+                                      .jcc = 1,
+                                      .dep_arity = 1,
+                                      .aggregator = core::make_min_aggregator()});
+      program.stratum().loop_rules.push_back(core::JoinRule{
+          .a = spath,
+          .a_version = core::Version::kDelta,
+          .b = edge,
+          .b_version = core::Version::kFull,
+          .out = {.target = spath,
+                  .cols = {Expr::col_b(1), Expr::col_a(1),
+                           Expr::add(Expr::col_a(2), Expr::col_b(2))}},
+      });
+      edge->load_facts(queries::edge_slice(comm, g, /*weighted=*/true));
+      spath->load_facts(std::vector<Tuple>{Tuple{0, 0, 0}});
+      auto run = engine.run(program);
+      EXPECT_EQ(spath->global_size(core::Version::kFull), 40u);
+      return run;
+    };
+    async::AsyncEngine reused(comm);
+    const auto r1 = run_once(reused);
+    const auto r2 = run_once(reused);
+    async::AsyncEngine fresh(comm);
+    const auto r3 = run_once(fresh);
+    EXPECT_GT(r3.kernel.probes, 0u);
+    for (const auto* r : {&r1, &r2}) {
+      EXPECT_EQ(r->profile.iterations, r3.profile.iterations);
+      EXPECT_EQ(r->kernel.probes, r3.kernel.probes);
+      EXPECT_EQ(r->kernel.probe_seeks, r3.kernel.probe_seeks);
+      EXPECT_EQ(r->kernel.matches, r3.kernel.matches);
+      EXPECT_EQ(r->kernel.outer_tuples_shipped, r3.kernel.outer_tuples_shipped);
+    }
+  });
+}
+
 TEST(AsyncRejection, PagerankRefreshSumIsRejectedWithDiagnostic) {
   const auto g = graph::make_rmat({.scale = 6, .edge_factor = 3, .seed = 36});
   vmpi::run(2, [&](vmpi::Comm& comm) {

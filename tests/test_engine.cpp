@@ -440,6 +440,40 @@ TEST(Engine, ProfileRecordsIterationsAndPhases) {
   });
 }
 
+TEST(Engine, EachRunAccountsForItselfOnly) {
+  // An engine that runs many times (serving keeps one for its whole life)
+  // reports each run alone: a second run on one engine matches a fresh
+  // engine's run on the same input, counter for counter, and its tuple
+  // limit does not count the first run's tuples.
+  vmpi::run(3, [&](vmpi::Comm& comm) {
+    EngineConfig cfg;
+    cfg.tuple_limit = 300;  // one 24-chain closure materializes 253 loop tuples
+    Engine reused(comm, cfg);
+    TcFixture first(comm, 24);
+    const auto r1 = reused.run(first.program);
+    TcFixture second(comm, 24);
+    const auto r2 = reused.run(second.program);
+    TcFixture third(comm, 24);
+    Engine fresh(comm, cfg);
+    const auto r3 = fresh.run(third.program);
+
+    EXPECT_FALSE(r1.aborted_tuple_limit);
+    EXPECT_FALSE(r2.aborted_tuple_limit);
+    EXPECT_EQ(second.path->global_size(Version::kFull), 24u * 23u / 2u);
+    for (const auto* r : {&r1, &r2}) {
+      EXPECT_EQ(r->profile.iterations, r3.profile.iterations);
+      EXPECT_EQ(r->total_iterations, r3.total_iterations);
+      for (const auto f : {&JoinKernelTotals::outer_tuples_shipped, &JoinKernelTotals::probes,
+                           &JoinKernelTotals::probe_seeks, &JoinKernelTotals::matches}) {
+        EXPECT_EQ(r->kernel.*f, r3.kernel.*f);
+        EXPECT_EQ(r->kernel_max.*f, r3.kernel_max.*f);
+      }
+    }
+    EXPECT_GT(r3.kernel.probes, 0u);
+    EXPECT_EQ(reused.rank_profile().history().size(), fresh.rank_profile().history().size());
+  });
+}
+
 TEST(Engine, EmptyProgramRunsCleanly) {
   vmpi::run(2, [&](vmpi::Comm& comm) {
     Program program(comm);

@@ -532,7 +532,22 @@ TEST(Relation, LoadFactsIntoPopulatedRelationMerges) {
   });
 }
 
-TEST(Relation, RestoreRoundTripsSnapshot) {
+/// Everything a batch can change on this rank: full rows, delta rows and
+/// the support map (sorted).
+struct LocalState {
+  std::vector<Tuple> full, delta;
+  std::vector<std::pair<Tuple, std::uint64_t>> support;
+  bool operator==(const LocalState&) const = default;
+};
+
+LocalState local_state(const Relation& r) {
+  LocalState s{local_rows(r, Version::kFull), local_rows(r, Version::kDelta), {}};
+  s.support.assign(r.support_counts().begin(), r.support_counts().end());
+  std::sort(s.support.begin(), s.support.end());
+  return s;
+}
+
+TEST(Relation, UndoBatchRestoresEveryPartAndCommitKeepsTheBatch) {
   vmpi::run(2, [&](vmpi::Comm& comm) {
     Relation r(comm, min3());
     r.enable_support_counts();
@@ -547,29 +562,68 @@ TEST(Relation, RestoreRoundTripsSnapshot) {
       if (r.owner_rank(t.view()) == comm.rank()) r.stage(t.view());
     }
     r.materialize();
-    const auto snap = r.snapshot();
-    ASSERT_NE(snap.full, snap.delta);
+    const auto before = local_state(r);
+    ASSERT_NE(before.full, before.delta);
 
-    // Mutate every part of the state, then roll back.
-    for (value_t k = 300; k < 340; ++k) {
-      const Tuple t{k % 11, k, 0};
-      if (r.owner_rank(t.view()) == comm.rank()) r.stage(t.view());
-    }
-    r.materialize();
-    const Tuple gone{3, 3, 0};
-    if (r.owner_rank(gone.view()) == comm.rank()) {
-      EXPECT_FALSE(r.retract_key(gone.prefix(2)).empty());
-    }
-    r.restore(snap);
+    // Mutate every part of the state through every journaled call: new
+    // keys, ascended keys, a retracted key (full, delta and support), a
+    // released support count and a direct insert.
+    const auto mutate = [&] {
+      for (value_t k = 280; k < 340; ++k) {
+        const Tuple t{k % 11, k, 0};
+        if (r.owner_rank(t.view()) == comm.rank()) r.stage(t.view());
+      }
+      r.materialize();
+      const Tuple gone{3, 3, 0};
+      if (r.owner_rank(gone.view()) == comm.rank()) {
+        EXPECT_FALSE(r.retract_key(gone.prefix(2)).empty());
+      }
+      const Tuple released{5, 5, 0};
+      if (r.owner_rank(released.view()) == comm.rank()) {
+        EXPECT_GT(r.support_of(released.prefix(2)), 0u);
+        r.support_release(released.prefix(2), 1);
+      }
+      const Tuple direct{7, 1000, 9};
+      if (r.owner_rank(direct.view()) == comm.rank()) {
+        EXPECT_TRUE(r.insert_full(direct.view()));
+      }
+    };
+
+    r.begin_batch();
+    mutate();
+    EXPECT_NE(local_state(r), before);
+    // One entry per key touched: 60 staged keys (20 of them already
+    // stored), the retracted and released keys, and the direct insert.
+    const auto entries = comm.allreduce<std::uint64_t>(r.undo_entries(), vmpi::ReduceOp::kSum);
+    EXPECT_EQ(entries, 60u + 3u);
+    r.undo_batch();
     expect_valid_trees(r);
+    EXPECT_EQ(local_state(r), before);
+    EXPECT_EQ(r.undo_entries(), 0u);
 
-    const auto again = r.snapshot();
-    EXPECT_EQ(again.full, snap.full);
-    EXPECT_EQ(again.delta, snap.delta);
-    auto s1 = snap.support, s2 = again.support;
-    std::sort(s1.begin(), s1.end());
-    std::sort(s2.begin(), s2.end());
-    EXPECT_EQ(s1, s2);
+    // reset() inside a batch moves the containers aside: a key touched
+    // before it is restored from its log entry on top of them.
+    r.begin_batch();
+    mutate();
+    r.reset();
+    for (value_t k = 0;; ++k) {  // one derivation into the emptied relation
+      const Tuple t{k, k, 1};
+      if (r.owner_rank(t.view()) != comm.rank()) continue;
+      r.stage(t.view());
+      r.materialize();
+      break;
+    }
+    r.undo_batch();
+    expect_valid_trees(r);
+    EXPECT_EQ(local_state(r), before);
+
+    // Commit keeps the batch: the same state as mutating unjournaled.
+    r.begin_batch();
+    mutate();
+    const auto batched = local_state(r);
+    r.commit_batch();
+    EXPECT_EQ(local_state(r), batched);
+    EXPECT_EQ(r.undo_entries(), 0u);
   });
 }
 

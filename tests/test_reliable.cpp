@@ -13,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/program.hpp"
 #include "graph/generators.hpp"
 #include "queries/programs.hpp"
 #include "queries/sssp.hpp"
@@ -262,76 +265,198 @@ TEST(Reliable, ServingMutationFramesHealUnderDrop) {
   }
 }
 
+/// One rank's copy of everything a serving batch can mutate: every
+/// relation's full rows, delta rows and support counts, the reverse
+/// indexes included, in a fixed order.
+struct ServingState {
+  std::vector<std::vector<Tuple>> rows;  // per relation: full, then delta
+  std::vector<std::vector<std::pair<Tuple, std::uint64_t>>> support;
+  bool operator==(const ServingState&) const = default;
+};
+
+ServingState capture(const core::Program& program, const serving::ServingEngine& srv) {
+  std::vector<const core::Relation*> rels;
+  for (const auto& r : program.relations()) rels.push_back(r.get());
+  for (const auto* r : srv.reverse_indexes()) rels.push_back(r);
+  ServingState s;
+  for (const auto* r : rels) {
+    for (const auto v : {core::Version::kFull, core::Version::kDelta}) {
+      auto& out = s.rows.emplace_back();
+      r->tree(v).for_each([&](std::span<const value_t> row) { out.emplace_back(row); });
+    }
+    auto& sup = s.support.emplace_back(r->support_counts().begin(), r->support_counts().end());
+    std::sort(sup.begin(), sup.end());
+  }
+  return s;
+}
+
+/// A plain recursive program: reach(y, s) :- reach(x, s), edge(x, y).
+/// Its target keeps exact support counts, which the SSSP program's
+/// min-aggregated target does not.
+struct ReachProgram {
+  std::unique_ptr<core::Program> program;
+  core::Relation* edge = nullptr;
+  core::Relation* reach = nullptr;
+};
+
+ReachProgram build_reach_program(vmpi::Comm& comm) {
+  ReachProgram p;
+  p.program = std::make_unique<core::Program>(comm);
+  p.edge = p.program->relation({.name = "edge", .arity = 2, .jcc = 1});
+  p.reach = p.program->relation({.name = "reach", .arity = 2, .jcc = 1});
+  p.program->stratum().loop_rules.push_back(core::JoinRule{
+      .a = p.reach,
+      .a_version = core::Version::kDelta,
+      .b = p.edge,
+      .b_version = core::Version::kFull,
+      .out = {.target = p.reach, .cols = {core::Expr::col_b(1), core::Expr::col_a(1)}},
+  });
+  return p;
+}
+
+/// What one rollback leg saw on one rank.
+struct RankOutcome {
+  std::size_t start_iterations = 0;
+  serving::UpdateResult first;      // the batch under the fault plan
+  bool retry_aborted = true;        // the same batch applied again
+  ServingState before, between, after;  // pre-batch, after the abort, after the retry
+  std::vector<Tuple> before_rows, between_rows, after_rows;  // lookups of the maintained relation
+};
+
+/// Serve `g` from source 0 (SSSP, or plain reachability with `reach`) on
+/// four ranks under `options`, apply one batch, and, if it was rolled
+/// back, apply it again.  Without a fault, `after` is the batch's clean
+/// result.
+std::vector<RankOutcome> run_rollback_leg(const graph::Graph& g, bool reach,
+                                          const vmpi::RunOptions& options,
+                                          std::span<const Tuple> inserts,
+                                          std::span<const Tuple> deletes) {
+  constexpr int kRanks = 4;
+  std::vector<RankOutcome> out(kRanks);
+  vmpi::run(kRanks, options, [&](vmpi::Comm& comm) {
+    auto& o = out[static_cast<std::size_t>(comm.rank())];
+    auto program = reach ? build_reach_program(comm).program
+                         : queries::build_sssp_program(comm, 1, /*balance_edges=*/false).program;
+    // Both builders declare the edge relation first, the maintained one second.
+    core::Relation* edge = program->relations()[0].get();
+    core::Relation* target = program->relations()[1].get();
+    serving::ServingEngine srv(comm, *program, {});  // before loading: support counts
+    edge->load_facts(queries::edge_slice(comm, g, /*weighted=*/!reach));
+    std::vector<Tuple> seed;
+    if (comm.rank() == 0) seed.push_back(reach ? Tuple{0, 0} : Tuple{0, 0, 0});
+    target->load_facts(seed);
+    o.start_iterations = srv.start().total_iterations;
+    o.before = capture(*program, srv);
+    o.before_rows = srv.lookup(target->name(), {});
+
+    o.first = srv.apply_updates(edge_batch(comm, inserts, deletes));
+    if (o.first.rolled_back) {
+      o.between = capture(*program, srv);
+      o.between_rows = srv.lookup(target->name(), {});
+      o.retry_aborted = srv.apply_updates(edge_batch(comm, inserts, deletes)).aborted_fault;
+    } else if (o.first.aborted_fault) {
+      return;  // the engine stopped serving; the test fails below
+    }
+    o.after = capture(*program, srv);
+    o.after_rows = srv.lookup(target->name(), {});
+  });
+  return out;
+}
+
+/// A detect-only corruption plan whose only corrupted frame among the
+/// first `k` + 400 on edge 1->2 is frame `k` (0-based).  Serving sends one
+/// frame per peer per exchange_flat call, and only those frames are
+/// faultable: frame 0 on the edge is start()'s reverse-index build, and
+/// frame `k` is the k-th mutation exchange of the first batch (2: its
+/// base inserts; 5: the first hop of its retraction wavefront).  Not 1: a
+/// receiver still in the collective before the batch may already check
+/// the batch's first frame and abort outside apply_updates.  The window
+/// covers the batch and its retry.
+vmpi::RunOptions corrupt_frame(std::uint64_t k) {
+  vmpi::RunOptions options;
+  options.retry.max_attempts = 0;  // detect-only: a corrupt frame aborts the batch
+  options.watchdog_seconds = kWatchdog;
+  auto& plan = options.fault;
+  plan.corrupt_prob = 0.002;
+  plan.only_src = 1;
+  plan.only_dst = 2;
+  for (plan.seed = 1;; ++plan.seed) {
+    bool exact = true;
+    for (std::uint64_t seq = 0; seq <= k + 400 && exact; ++seq) {
+      const bool hit = vmpi::fault_decide(plan, 1, 2, seq).action == vmpi::FaultAction::kCorrupt;
+      exact = hit == (seq == k);
+    }
+    if (exact) return options;
+  }
+}
+
 TEST(Reliable, KilledRankDuringBatchRollsBackAndKeepsServing) {
-  // A rank killed mid-batch aborts the batch on every rank; with rollback
-  // enabled the batch is undone (typed UpdateResult, rolled_back set), the
-  // pre-batch fixpoint still answers lookups, and — the kill being
-  // one-shot — re-applying the same batch succeeds and converges to the
-  // oracle.  Graceful degradation instead of a dead service.
+  // An aborted batch is undone exactly: on every rank, every relation's
+  // full and delta rows, the reverse indexes and the support counts
+  // return to their pre-batch state, lookups answer from it, and — the
+  // faults being one-shot — applying the same batch again reaches the
+  // state a clean run of that batch reaches.  Each batch deletes a chain
+  // edge, so it retracts everything downstream before re-deriving it.
+  // Legs: a rank killed in the tail (SSSP, and plain reachability with
+  // exact support counts), and a corrupt frame caught by a detect-only
+  // channel during the base apply and during the retraction wavefront.
   const auto g = graph::make_chain(48, /*max_weight=*/1);
-  const Tuple reweighted{g.edges[10].src, g.edges[10].dst, g.edges[10].weight};
-  const std::vector<Tuple> inserts{Tuple{reweighted[0], reweighted[1], reweighted[2] + 1}};
-  const std::vector<Tuple> deletes{reweighted};
+  const std::vector<Tuple> sssp_deletes{Tuple{10, 11, 1}};
+  const std::vector<Tuple> sssp_inserts{Tuple{10, 11, 2}};  // reweighted
+  const std::vector<Tuple> reach_deletes{Tuple{10, 11}};
+  const std::vector<Tuple> reach_inserts{Tuple{10, 12}};  // skips node 11
 
   graph::Graph mutated = g;
-  std::erase(mutated.edges, graph::Edge{reweighted[0], reweighted[1], reweighted[2]});
-  mutated.edges.push_back(graph::Edge{inserts[0][0], inserts[0][1], inserts[0][2]});
+  std::erase(mutated.edges, graph::Edge{10, 11, 1});
+  mutated.edges.push_back(graph::Edge{10, 11, 2});
   const auto oracle = fresh_sssp(mutated);
-  const auto pre_batch = fresh_sssp(g);
 
-  // Measuring leg: locate the batch tail on the epoch axis.
-  std::size_t start_iters = 0, tail = 0;
-  vmpi::run(4, [&](vmpi::Comm& comm) {
-    auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
-    serving::ServingEngine srv(comm, *prog.program, {});
-    queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
-    const auto rr = srv.start();
-    const auto res = srv.apply_updates(edge_batch(comm, inserts, deletes));
-    if (comm.rank() == 0) {
-      start_iters = rr.total_iterations;
-      tail = res.tail_iterations;
+  struct Leg {
+    const char* name;
+    bool reach;
+    vmpi::RunOptions options;
+  };
+  std::vector<Leg> legs;
+  for (const bool reach : {false, true}) {
+    const auto& ins = reach ? reach_inserts : sssp_inserts;
+    const auto& del = reach ? reach_deletes : sssp_deletes;
+    const auto clean = run_rollback_leg(g, reach, {}, ins, del);
+    const auto& res = clean[0].first;
+    ASSERT_FALSE(res.aborted_fault);
+    ASSERT_GT(res.retracted, 10u) << "the delete must retract the chain's tail";
+    ASSERT_GE(res.tail_iterations, 8u) << "batch tail too short to land a kill in reliably";
+    if (!reach) {
+      for (const auto& o : clean) EXPECT_EQ(o.after_rows, oracle);
     }
-  });
-  ASSERT_GE(tail, 8u) << "batch tail too short to land a kill in reliably";
+    vmpi::RunOptions kill;
+    kill.fault.kill_rank = 1;
+    kill.fault.kill_epoch = clean[0].start_iterations + res.tail_iterations / 2;
+    kill.watchdog_seconds = kWatchdog;
+    legs.push_back({reach ? "reach: rank killed in the tail" : "sssp: rank killed in the tail",
+                    reach, kill});
+  }
+  legs.push_back({"sssp: corrupt frame in the base apply", false, corrupt_frame(2)});
+  legs.push_back({"sssp: corrupt frame in the wavefront", false, corrupt_frame(5)});
 
-  const int ranks = 4;
-  vmpi::RunOptions options;
-  options.fault.kill_rank = 1;
-  options.fault.kill_epoch = static_cast<std::uint64_t>(start_iters + tail / 2);
-  options.watchdog_seconds = kWatchdog;
-  std::vector<int> first_aborted(ranks, 0);
-  std::vector<int> first_rolled_back(ranks, 0);
-  std::vector<int> second_aborted(ranks, 1);
-  std::vector<std::vector<Tuple>> between(ranks);
-  std::vector<std::vector<Tuple>> after(ranks);
-  vmpi::run(ranks, options, [&](vmpi::Comm& comm) {
-    auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
-    serving::ServingEngine srv(comm, *prog.program, {});
-    queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
-    srv.start();
-    const auto me = static_cast<std::size_t>(comm.rank());
-
-    const auto res = srv.apply_updates(edge_batch(comm, inserts, deletes));
-    first_aborted[me] = res.aborted_fault ? 1 : 0;
-    first_rolled_back[me] = res.rolled_back ? 1 : 0;
-    if (!res.rolled_back) return;  // engine stopped serving; test will fail below
-
-    // The rolled-back service still answers, at the pre-batch fixpoint.
-    between[me] = srv.lookup("spath", {});
-
-    // The kill was one-shot; the retry must go through cleanly.
-    const auto res2 = srv.apply_updates(edge_batch(comm, inserts, deletes));
-    second_aborted[me] = res2.aborted_fault ? 1 : 0;
-    after[me] = srv.lookup("spath", {});
-  });
-
-  for (int r = 0; r < ranks; ++r) {
-    SCOPED_TRACE("rank " + std::to_string(r));
-    EXPECT_EQ(first_aborted[static_cast<std::size_t>(r)], 1);
-    EXPECT_EQ(first_rolled_back[static_cast<std::size_t>(r)], 1);
-    EXPECT_EQ(between[static_cast<std::size_t>(r)], pre_batch);
-    EXPECT_EQ(second_aborted[static_cast<std::size_t>(r)], 0);
-    EXPECT_EQ(after[static_cast<std::size_t>(r)], oracle);
+  for (const auto& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    const auto& ins = leg.reach ? reach_inserts : sssp_inserts;
+    const auto& del = leg.reach ? reach_deletes : sssp_deletes;
+    const auto clean = run_rollback_leg(g, leg.reach, {}, ins, del);
+    const auto got = run_rollback_leg(g, leg.reach, leg.options, ins, del);
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      EXPECT_TRUE(got[r].first.aborted_fault);
+      ASSERT_TRUE(got[r].first.rolled_back) << got[r].first.fault_what;
+      EXPECT_TRUE(got[r].between == got[r].before) << "rollback left state behind";
+      EXPECT_EQ(got[r].between_rows, got[r].before_rows)
+          << "lookups after rollback differ from the pre-batch fixpoint";
+      EXPECT_FALSE(got[r].retry_aborted);
+      EXPECT_TRUE(got[r].after == clean[r].after) << "retry differs from a clean batch";
+      if (!leg.reach) {
+        EXPECT_EQ(got[r].after_rows, oracle);
+      }
+    }
   }
 }
 

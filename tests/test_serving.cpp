@@ -473,6 +473,139 @@ TEST(Serving, KillDuringBatchThenWarmResumeReplays) {
 // Typed failures: unservable programs and API misuse
 // ---------------------------------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// Per-batch accounting: tuple limit, profile history, undo-log size
+// ---------------------------------------------------------------------------
+
+/// Unit-weight chain 0 -> 1 -> ... -> 47, optionally without one edge.
+graph::Graph unit_chain(value_t skip_src = 1000) {
+  auto g = graph::make_chain(48, /*max_weight=*/1);
+  std::erase_if(g.edges, [&](const graph::Edge& e) { return e.src == skip_src; });
+  return g;
+}
+
+TEST(Serving, TupleLimitCountsEachBatchAndACutTailRollsBack) {
+  // EngineConfig::tuple_limit bounds each batch's tail, not the service's
+  // lifetime: a limit just above the cold start serves many small batches
+  // cleanly.  A tail that does hit the limit stopped short of the
+  // fixpoint; the batch is reported and rolled back like a fault.
+  serving::ServingConfig cfg;
+  // The cold start materializes 47 loop tuples; each batch below, 2.
+  cfg.engine.tuple_limit = 52;
+  {
+    const auto g = unit_chain();
+    graph::Graph cur = g;
+    std::vector<std::vector<Mutation>> batches;
+    for (value_t i = 0; i < 12; ++i) {  // reweight 44 -> 45 back and forth
+      const value_t w = 1 + i % 2;
+      batches.push_back({{false, Tuple{44, 45, w}}, {true, Tuple{44, 45, 3 - w}}});
+    }
+    for (const auto& b : batches) apply_to_graph(cur, b);
+    const auto oracle = fresh_sssp(cur);
+    std::vector<serving::UpdateResult> results;
+    std::vector<std::vector<Tuple>> rows(3);
+    vmpi::run(3, [&](vmpi::Comm& comm) {
+      auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
+      serving::ServingEngine srv(comm, *prog.program, cfg);
+      queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+      EXPECT_FALSE(srv.start().aborted_tuple_limit);
+      for (const auto& b : batches) {
+        const auto res = srv.apply_updates(shard_batch(comm, "edge", b));
+        if (comm.rank() == 0) results.push_back(res);
+      }
+      rows[static_cast<std::size_t>(comm.rank())] = srv.lookup("spath", {});
+    });
+    for (const auto& res : results) {
+      EXPECT_FALSE(res.aborted_tuple_limit);
+      EXPECT_FALSE(res.aborted_fault);
+      EXPECT_GT(res.retracted, 0u);
+    }
+    for (const auto& r : rows) EXPECT_EQ(r, oracle);
+  }
+  {
+    // Without edge 10 -> 11 the cold start reaches 10 nodes; inserting it
+    // makes the tail re-derive 36 more, past a limit of 12.
+    const auto g = unit_chain(10);
+    const std::vector<Mutation> big{{true, Tuple{10, 11, 1}}};
+    const std::vector<Mutation> small{{true, Tuple{3, 7, 1}}};  // 7 gets closer
+    graph::Graph cur = g;
+    apply_to_graph(cur, small);
+    const auto pre = fresh_sssp(g);
+    const auto oracle = fresh_sssp(cur);
+    cfg.engine.tuple_limit = 12;
+    std::vector<serving::UpdateResult> cut(3), next(3);
+    std::vector<std::vector<Tuple>> between(3), after(3);
+    vmpi::run(3, [&](vmpi::Comm& comm) {
+      auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
+      serving::ServingEngine srv(comm, *prog.program, cfg);
+      queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+      srv.start();
+      const auto me = static_cast<std::size_t>(comm.rank());
+      cut[me] = srv.apply_updates(shard_batch(comm, "edge", big));
+      between[me] = srv.lookup("spath", {});
+      next[me] = srv.apply_updates(shard_batch(comm, "edge", small));
+      after[me] = srv.lookup("spath", {});
+    });
+    for (std::size_t r = 0; r < 3; ++r) {
+      EXPECT_TRUE(cut[r].aborted_tuple_limit);
+      EXPECT_FALSE(cut[r].aborted_fault);
+      EXPECT_TRUE(cut[r].rolled_back);
+      EXPECT_EQ(between[r], pre);
+      EXPECT_FALSE(next[r].aborted_tuple_limit);
+      EXPECT_EQ(after[r], oracle);
+    }
+  }
+}
+
+TEST(Serving, ResidentEngineKeepsOnlyTheLastRunAndUndoLogStaysWithinTheBatch) {
+  // Counter gates for O(batch) serving, no wall clock: after every batch
+  // the resident engine's profile holds exactly that batch's tail
+  // iterations (not the history of every batch so far), and the undo log
+  // held no more entries than the batch changed: each base change and
+  // its one reverse-index mirror, each retracted key, each derived row.
+  const auto g = graph::make_rmat({.scale = 5, .edge_factor = 4, .seed = 23});
+  constexpr std::size_t kBatches = 200;
+  std::vector<std::vector<Mutation>> batches(kBatches);
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    const auto v = static_cast<value_t>(i);
+    batches[i].push_back({true, Tuple{(v * 7) % 32, (v * 13 + 5) % 32, 1 + v % 9}});
+    if (i > 0) batches[i].push_back({false, batches[i - 1][0].row});
+    if (i % 10 == 0) {
+      for (const Tuple& t : pick_edges(g, i / 10, 1)) batches[i].push_back({false, t});
+    }
+  }
+  graph::Graph cur = g;
+  for (const auto& b : batches) apply_to_graph(cur, b);
+  const auto oracle = fresh_sssp(cur);
+
+  std::vector<std::vector<Tuple>> rows(3);
+  std::vector<std::size_t> history(3), last_tail(3);
+  std::vector<std::uint64_t> over_bound(3, 0);
+  vmpi::run(3, [&](vmpi::Comm& comm) {
+    auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
+    serving::ServingEngine srv(comm, *prog.program, {});
+    queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+    srv.start();
+    const auto me = static_cast<std::size_t>(comm.rank());
+    for (const auto& b : batches) {
+      const auto res = srv.apply_updates(shard_batch(comm, "edge", b));
+      EXPECT_FALSE(res.aborted_fault);
+      const auto bound = 2 * (res.base_inserted + res.base_deleted) + res.retracted +
+                         res.tuples_derived;
+      if (res.undo_entries > bound) ++over_bound[me];
+      EXPECT_EQ(srv.engine().rank_profile().history().size(), res.tail_iterations);
+      last_tail[me] = res.tail_iterations;
+    }
+    history[me] = srv.engine().rank_profile().history().size();
+    rows[me] = srv.lookup("spath", {});
+  });
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(rows[r], oracle) << "rank " << r;
+    EXPECT_EQ(history[r], last_tail[r]) << "rank " << r;
+    EXPECT_EQ(over_bound[r], 0u) << "rank " << r;
+  }
+}
+
 TEST(Serving, RejectsUnservableProgramsAndMisuse) {
   // A program with no recursive stratum has nothing to maintain.
   vmpi::run(2, [&](vmpi::Comm& comm) {
@@ -504,8 +637,17 @@ TEST(Serving, RejectsUnservableProgramsAndMisuse) {
     serving::UpdateBatch bad;
     bad.push_back({.relation = "spath", .inserts = {Tuple{1, 2, 3}}, .deletes = {}});
     EXPECT_THROW((void)srv.apply_updates(bad), serving::ServingError);
-    // The typed failure left the service untouched: it still answers.
+    // The typed failure left the service untouched, with no batch left
+    // open in any relation: it still answers and applies the next batch.
+    for (const auto& rel : prog.program->relations()) EXPECT_FALSE(rel->in_batch());
     EXPECT_FALSE(srv.lookup("spath", {}).empty());
+    serving::UpdateBatch good;
+    if (comm.rank() == 0) {
+      good.push_back({.relation = "edge", .inserts = {Tuple{0, 5, 1}}, .deletes = {}});
+    }
+    const auto res = srv.apply_updates(good);
+    EXPECT_FALSE(res.aborted_fault);
+    EXPECT_EQ(res.base_inserted, 1u);
   });
 }
 

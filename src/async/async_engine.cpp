@@ -13,8 +13,8 @@
 #include "core/phase_scope.hpp"
 #include "core/ra_op.hpp"
 #include "core/relation.hpp"
+#include "core/row_codec.hpp"
 #include "vmpi/fault.hpp"
-#include "vmpi/serialize.hpp"
 
 namespace paralagg::async {
 
@@ -67,7 +67,7 @@ double wall_now() {
 
 /// Outbound rows of one app-frame kind, buffered per (route, destination)
 /// like the router's buckets.  `routes` is the table the receiver decodes
-/// with (core::decode_route_frame): loop targets for stage and partial
+/// with (core::decode_row_frame): loop targets for stage and partial
 /// frames, each loop join's probe relation for probe frames.
 struct Outbox {
   int tag = 0;
@@ -84,15 +84,23 @@ struct Outbox {
     return bufs[route * nranks + dest];
   }
 
-  /// Frame every buffered route bound for `dest` into `w` with the router
+  /// Sort one (route, dest) buffer and append it to `frame` as a row
+  /// group, clearing the buffer.  Returns the rows framed.
+  std::uint64_t put_group(std::size_t route, std::size_t dest, vmpi::Bytes& frame) {
+    auto& b = buf(route, dest);
+    const std::size_t arity = routes[route]->arity();
+    core::sort_rows(b, arity);
+    const std::uint64_t rows = core::put_row_group(frame, route, b, arity);
+    b.clear();
+    return rows;
+  }
+
+  /// Frame every buffered route bound for `dest` into `frame` with the row
   /// codec, clearing the buffers.  Returns the rows framed.
-  std::uint64_t put_groups(std::size_t dest, vmpi::TypedWriter<value_t>& w) {
+  std::uint64_t put_groups(std::size_t dest, vmpi::Bytes& frame) {
     std::uint64_t rows = 0;
     for (std::size_t id = 0; id < routes.size(); ++id) {
-      auto& b = buf(id, dest);
-      if (b.empty()) continue;
-      rows += core::put_route_group(w, id, b, routes[id]->arity());
-      b.clear();
+      if (!buf(id, dest).empty()) rows += put_group(id, dest, frame);
     }
     return rows;
   }
@@ -327,19 +335,18 @@ class StratumLoop {
     buf.insert(buf.end(), row.begin(), row.end());
     if (cfg_.routing == AsyncRouting::kOwnerDirect && dest != me_ &&
         buf.size() >= cfg_.batch_rows * row.size()) {
-      vmpi::TypedWriter<value_t> w(buf.size() + 2);
-      ship(box, dest, w, core::put_route_group(w, route, buf, row.size()));
-      buf.clear();
+      vmpi::Bytes frame;
+      const auto rows = box.put_group(route, dest, frame);
+      ship(box, dest, std::move(frame), rows);
     }
   }
 
   // -- outbound ---------------------------------------------------------------
 
   /// Ship one framed app message of `box`'s kind and count it for Safra.
-  void ship(Outbox& box, std::size_t dest, vmpi::TypedWriter<value_t>& w,
-            std::uint64_t rows) {
+  void ship(Outbox& box, std::size_t dest, vmpi::Bytes frame, std::uint64_t rows) {
     PhaseScope scope(comm_, profile_, Phase::kAllToAll);
-    comm_.isend(static_cast<int>(dest), box.tag, w.take());
+    comm_.isend(static_cast<int>(dest), box.tag, std::move(frame));
     detector_.on_app_send();
     ++ls_.messages_sent;
     ls_.*box.rows_sent += rows;
@@ -364,9 +371,9 @@ class StratumLoop {
     for (std::size_t d = 0; d < probe_.nranks; ++d) {
       if (d == me_) continue;
       for (Outbox* box : {&stage_, &probe_}) {
-        vmpi::TypedWriter<value_t> w;
-        const auto rows = box->put_groups(d, w);
-        if (!w.empty()) ship(*box, d, w, rows);
+        vmpi::Bytes frame;
+        const auto rows = box->put_groups(d, frame);
+        if (!frame.empty()) ship(*box, d, std::move(frame), rows);
       }
     }
   }
@@ -393,21 +400,22 @@ class StratumLoop {
   void on_stage(std::span<const std::byte> frame) {
     PhaseScope scope(comm_, profile_, Phase::kDedupAgg);
     std::uint64_t rows = 0;
-    core::decode_route_frame(frame, targets_, [&](std::size_t i, std::span<const value_t> flat) {
-      targets_[i]->stage_rows(flat);
-      rows += flat.size() / targets_[i]->arity();
-    });
+    core::decode_row_frame(frame, targets_, scratch_,
+                           [&](std::size_t i, std::span<const value_t> flat) {
+                             targets_[i]->stage_rows(flat);
+                             rows += flat.size() / targets_[i]->arity();
+                           });
     profile_.add_work(Phase::kDedupAgg, rows);
   }
 
   void on_probe(std::span<const std::byte> frame) {
     PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
     std::uint64_t rows = 0;
-    core::decode_route_frame(frame, probe_.routes,
-                             [&](std::size_t j, std::span<const value_t> flat) {
-                               join_batch(j, flat);
-                               rows += flat.size() / probe_.routes[j]->arity();
-                             });
+    core::decode_row_frame(frame, probe_.routes, scratch_,
+                           [&](std::size_t j, std::span<const value_t> flat) {
+                             join_batch(j, flat);
+                             rows += flat.size() / probe_.routes[j]->arity();
+                           });
     profile_.add_work(Phase::kLocalJoin, rows);
   }
 
@@ -457,6 +465,7 @@ class StratumLoop {
   std::size_t stale_rounds_ = 0;
   std::vector<int> dest_scratch_;
   Tuple head_;
+  std::vector<value_t> scratch_;  // one decoded inbound row group at a time
 
   double last_progress_ = 0;  // the progress watchdog's clock
 };
@@ -781,10 +790,10 @@ class SspStratumLoop {
     PhaseScope scope(comm_, profile_, Phase::kAllToAll);
     for (std::size_t d = 0; d < nranks_; ++d) {
       if (d == me_) continue;
-      vmpi::TypedWriter<value_t> w;
-      w.put(static_cast<value_t>(e));
-      const auto rows = box.put_groups(d, w);
-      comm_.isend(static_cast<int>(d), box.tag, w.take());
+      vmpi::Bytes frame;
+      core::put_varint(frame, e);
+      const auto rows = box.put_groups(d, frame);
+      comm_.isend(static_cast<int>(d), box.tag, std::move(frame));
       detector_.on_app_send();
       ++ls_.messages_sent;
       ls_.*box.rows_sent += rows;
@@ -805,11 +814,9 @@ class SspStratumLoop {
   // -- inbound -----------------------------------------------------------------
 
   void on_ssp_frame(int src, int tag, const vmpi::Bytes& bytes) {
-    if (bytes.empty() || bytes.size() % sizeof(value_t) != 0) {
-      throw vmpi::FrameDecodeError("ssp: frame is not a whole, non-empty word count");
-    }
-    vmpi::TypedReader<value_t> r(bytes);
-    const auto e = static_cast<std::uint64_t>(r.get());
+    if (bytes.empty()) throw vmpi::FrameDecodeError("ssp: empty frame");
+    core::RowReader r(bytes);
+    const std::uint64_t e = r.varint();
     if (e >= epochs_total_) {
       throw vmpi::FrameDecodeError("ssp: frame epoch out of range");
     }
@@ -831,7 +838,7 @@ class SspStratumLoop {
     }
     detector_.on_app_receive();
     ++ls_.messages_received;
-    const auto body = std::span<const std::byte>(bytes).subspan(sizeof(value_t));
+    const auto body = r.rest();
     if (probe_kind) {
       on_ssp_probe(e, body);
       EpochState& st = epoch_state(e);
@@ -850,11 +857,11 @@ class SspStratumLoop {
     PhaseScope scope(comm_, profile_, Phase::kLocalJoin);
     EpochState& st = epoch_state(e);
     std::uint64_t rows = 0;
-    core::decode_route_frame(body, probe_.routes,
-                             [&](std::size_t j, std::span<const value_t> flat) {
-                               join_batch(j, st, flat);
-                               rows += flat.size() / probe_.routes[j]->arity();
-                             });
+    core::decode_row_frame(body, probe_.routes, scratch_,
+                           [&](std::size_t j, std::span<const value_t> flat) {
+                             join_batch(j, st, flat);
+                             rows += flat.size() / probe_.routes[j]->arity();
+                           });
     profile_.add_work(Phase::kLocalJoin, rows);
   }
 
@@ -862,7 +869,7 @@ class SspStratumLoop {
     PhaseScope scope(comm_, profile_, Phase::kDedupAgg);
     EpochState& st = epoch_state(e);
     std::uint64_t rows = 0;
-    core::decode_route_frame(body, targets_, [&](std::size_t i, std::span<const value_t> flat) {
+    core::decode_row_frame(body, targets_, scratch_, [&](std::size_t i, std::span<const value_t> flat) {
       const std::size_t arity = targets_[i]->arity();
       for (std::size_t off = 0; off < flat.size(); off += arity) {
         merge_acc(st.fold_acc[i], i, flat.subspan(off, arity));
@@ -929,6 +936,7 @@ class SspStratumLoop {
   std::vector<int> dest_scratch_;
   Tuple head_;
   Tuple row_scratch_;
+  std::vector<value_t> scratch_;  // one decoded inbound row group at a time
   double last_progress_ = 0;
 };
 

@@ -14,10 +14,10 @@
 //   delta frontier locally → isend generated rows point-to-point,
 //
 // and quiescence is decided by a Safra token ring (async::TerminationDetector)
-// instead of an allreduce.  Two message kinds circulate, both in the
-// ExchangeRouter wire format ([id | row_count | rows]* in value_t units,
-// written by core::put_route_group and read by core::decode_route_frame;
-// under a fault plan the reliable channel drops injected duplicates before
+// instead of an allreduce.  Two message kinds circulate, both in the row
+// codec's wire format ([varint id | varint row_count | delta-coded rows]*,
+// each buffer sorted first; written by core::put_row_group and read by
+// core::decode_row_frame, core/row_codec.hpp; under a fault plan the reliable channel drops injected duplicates before
 // they could unbalance the Safra counters):
 //
 //   * PROBE (per join rule): a fresh delta row of the recursive side,

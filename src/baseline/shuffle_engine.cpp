@@ -1,9 +1,11 @@
 #include "baseline/shuffle_engine.hpp"
 
 #include <chrono>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/row_codec.hpp"
 #include "storage/tuple.hpp"
 
 namespace paralagg::baseline {
@@ -16,9 +18,41 @@ using storage::mix64;
 struct Tup3 {
   value_t a, b, c;
 };
-struct Tup2 {
-  value_t a, b;
-};
+
+constexpr std::size_t kTupArity = sizeof(Tup3) / sizeof(value_t);
+static_assert(sizeof(Tup3) == 3 * sizeof(value_t));
+
+/// Sorted flat rows of `tuples`, ready for the row codec.
+std::vector<value_t> sorted_rows(const std::vector<Tup3>& tuples) {
+  std::vector<value_t> rows(tuples.size() * kTupArity);
+  if (!rows.empty()) std::memcpy(rows.data(), tuples.data(), rows.size() * sizeof(value_t));
+  core::sort_rows(rows, kTupArity);
+  return rows;
+}
+
+/// The tuples of one single-relation row-codec frame, appended to `out`.
+void decode_tuples(std::span<const std::byte> frame, std::vector<Tup3>& out) {
+  std::vector<value_t> rows;
+  core::append_frame_rows(frame, kTupArity, rows);
+  const std::size_t old = out.size();
+  out.resize(old + rows.size() / kTupArity);
+  if (!rows.empty()) std::memcpy(out.data() + old, rows.data(), rows.size() * sizeof(value_t));
+}
+
+/// One tuple exchange on the wire format PARALAGG's own exchanges use
+/// (core/row_codec.hpp): each destination's tuples sorted and delta-coded,
+/// so byte counts compare the strategies, not their encodings.
+std::vector<std::vector<Tup3>> exchange(vmpi::Comm& comm,
+                                        const std::vector<std::vector<Tup3>>& send) {
+  std::vector<vmpi::Bytes> raw(send.size());
+  for (std::size_t d = 0; d < send.size(); ++d) {
+    if (!send[d].empty()) core::put_row_group(raw[d], 0, sorted_rows(send[d]), kTupArity);
+  }
+  const auto got = comm.alltoallv(std::move(raw));
+  std::vector<std::vector<Tup3>> out(got.size());
+  for (std::size_t s = 0; s < got.size(); ++s) decode_tuples(got[s], out[s]);
+  return out;
+}
 
 std::size_t owner1(value_t x, int n) { return static_cast<std::size_t>(mix64(x) % static_cast<std::uint64_t>(n)); }
 std::size_t owner2(value_t x, value_t y, int n) {
@@ -40,7 +74,7 @@ std::unordered_map<value_t, std::vector<std::pair<value_t, value_t>>> build_adja
     send[owner1(e.src, n)].push_back({e.src, e.dst, e.weight});
     if (symmetrize) send[owner1(e.dst, n)].push_back({e.dst, e.src, e.weight});
   }
-  auto got = comm.alltoallv_t(send);
+  auto got = exchange(comm, send);
   std::unordered_map<value_t, std::vector<std::pair<value_t, value_t>>> adj;
   for (const auto& buf : got) {
     for (const auto& t : buf) adj[t.a].emplace_back(t.b, t.c);
@@ -80,7 +114,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
           opts.mode == ShuffleMode::kMaster ? 0 : owner2(s.a, s.b, n);
       send[dst].push_back(s);
     }
-    auto got = comm.alltoallv_t(send);
+    auto got = exchange(comm, send);
     for (const auto& buf : got) {
       for (const auto& t : buf) {
         auto& slot = best[t.a];
@@ -98,7 +132,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     // Hop 1: route the delta to the join owners (hash of the join column).
     std::vector<std::vector<Tup3>> to_join(static_cast<std::size_t>(n));
     for (const auto& t : delta) to_join[owner1(t.a, n)].push_back(t);
-    auto at_join = comm.alltoallv_t(to_join);
+    auto at_join = exchange(comm, to_join);
 
     // Local join against the adjacency partition.
     std::vector<std::vector<Tup3>> candidates(static_cast<std::size_t>(n));
@@ -122,7 +156,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     // Hop 2: aggregation exchange.
     std::vector<Tup3> changed;
     if (opts.mode == ShuffleMode::kShuffle) {
-      auto at_reducer = comm.alltoallv_t(candidates);
+      auto at_reducer = exchange(comm, candidates);
       for (const auto& buf : at_reducer) {
         for (const auto& t : buf) {
           auto& slot = best[t.a];
@@ -135,7 +169,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
       }
     } else {
       // Master mode: rank 0 owns the whole map.
-      auto at_master = comm.alltoallv_t(candidates);
+      auto at_master = exchange(comm, candidates);
       std::vector<Tup3> master_changed;
       if (comm.rank() == 0) {
         for (const auto& buf : at_master) {
@@ -150,20 +184,14 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
         }
       }
       // Broadcast the changed rows; each rank adopts a slice as its delta.
-      vmpi::BufferWriter w;
-      for (const auto& t : master_changed) {
-        w.put(t.a);
-        w.put(t.b);
-        w.put(t.c);
+      vmpi::Bytes frame;
+      if (!master_changed.empty()) {
+        core::put_row_group(frame, 0, sorted_rows(master_changed), kTupArity);
       }
-      const auto serialized = w.take();
-      auto bytes = comm.bcast(0, serialized);
-      vmpi::BufferReader r(bytes);
-      std::size_t idx = 0;
-      while (!r.done()) {
-        Tup3 t{r.get<value_t>(), r.get<value_t>(), r.get<value_t>()};
-        if (idx % static_cast<std::size_t>(n) == me) changed.push_back(t);
-        ++idx;
+      std::vector<Tup3> all;
+      decode_tuples(comm.bcast(0, frame), all);
+      for (std::size_t idx = 0; idx < all.size(); ++idx) {
+        if (idx % static_cast<std::size_t>(n) == me) changed.push_back(all[idx]);
       }
     }
 
@@ -172,7 +200,7 @@ LoopTotals shuffle_loop(vmpi::Comm& comm, const ShuffleOptions& opts,
     {
       std::vector<std::vector<Tup3>> to_store(static_cast<std::size_t>(n));
       for (const auto& t : changed) to_store[owner3(t.a, t.b, t.c, n)].push_back(t);
-      auto at_store = comm.alltoallv_t(to_store);
+      auto at_store = exchange(comm, to_store);
       for (const auto& buf : at_store) {
         for (const auto& t : buf) {
           store.insert(mix64(mix64(mix64(t.a) ^ t.b) ^ t.c));

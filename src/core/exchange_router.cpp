@@ -1,10 +1,9 @@
 #include "core/exchange_router.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "core/phase_scope.hpp"
-#include "vmpi/serialize.hpp"
 
 namespace paralagg::core {
 
@@ -49,52 +48,39 @@ void ExchangeRouter::emit(std::uint32_t route_id, std::span<const value_t> row) 
 void ExchangeRouter::combine(const Relation& rel, std::vector<value_t>& rows,
                              RouterFlushStats& st) {
   const std::size_t arity = rel.arity();
-  if (rows.size() <= arity) return;  // nothing to collapse
+  const std::size_t ia = rel.indep_arity();
+  // Sorted rows compress, and rows with equal keys are adjacent.  Without
+  // pre-aggregation every derivation still ships (serving's support counts
+  // and the baseline count each one).
+  sort_rows(rows, arity);
+  if (!preaggregate_ || rows.size() <= arity) return;
 
-  if (!rel.aggregated()) {
-    // Plain target: keep the first occurrence of each row.
-    std::unordered_map<Tuple, std::size_t, storage::TupleHash> seen;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < rows.size(); r += arity) {
-      const std::span<const value_t> row(rows.data() + r, arity);
-      auto [it, inserted] = seen.try_emplace(Tuple(row), w);
-      if (!inserted) {
-        ++st.rows_combined;
-        continue;
-      }
-      if (w != r) std::copy(row.begin(), row.end(), rows.begin() + static_cast<std::ptrdiff_t>(w));
-      w += arity;
-    }
-    rows.resize(w);
-    return;
-  }
-
-  // Aggregated target: fold rows agreeing on the independent columns
-  // through the lattice join before they hit the wire (partial partial
+  // Fold each run of equal independent columns into its first row.  Plain
+  // targets (key = whole row) drop duplicates; aggregated targets fold
+  // through the lattice join before the rows hit the wire (partial partial
   // aggregates).  The destination's staging pass stays correct either way;
   // this only shrinks the exchange.
-  const std::size_t ia = rel.indep_arity();
   const std::size_t dep = rel.dep_arity();
-  const auto& agg = *rel.config().aggregator;
-  std::unordered_map<Tuple, std::size_t, storage::TupleHash> first;  // key -> kept row offset
+  const RecursiveAggregator* agg = rel.aggregated() ? rel.config().aggregator.get() : nullptr;
   std::vector<value_t> scratch(dep);
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < rows.size(); r += arity) {
-    const std::span<const value_t> row(rows.data() + r, arity);
-    auto [it, inserted] = first.try_emplace(Tuple(row.first(ia)), w);
-    if (inserted) {
-      if (w != r) std::copy(row.begin(), row.end(), rows.begin() + static_cast<std::ptrdiff_t>(w));
+  std::size_t w = 0;  // offset of the row being folded into
+  for (std::size_t r = arity; r < rows.size(); r += arity) {
+    value_t* kept = rows.data() + w;
+    const value_t* row = rows.data() + r;
+    if (!std::equal(row, row + ia, kept)) {
       w += arity;
+      if (w != r) std::copy(row, row + arity, rows.data() + w);
       continue;
     }
-    // partial_agg's out may alias neither input: stage through scratch.
-    value_t* acc = rows.data() + it->second + ia;
-    agg.partial_agg(std::span<const value_t>(acc, dep), row.subspan(ia),
-                    std::span<value_t>(scratch));
-    std::copy(scratch.begin(), scratch.end(), acc);
+    if (agg != nullptr) {
+      // partial_agg's out may alias neither input: stage through scratch.
+      agg->partial_agg(std::span<const value_t>(kept + ia, dep),
+                       std::span<const value_t>(row + ia, dep), std::span<value_t>(scratch));
+      std::copy(scratch.begin(), scratch.end(), kept + ia);
+    }
     ++st.rows_combined;
   }
-  rows.resize(w);
+  rows.resize(w + arity);
 }
 
 std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
@@ -104,16 +90,14 @@ std::vector<vmpi::Bytes> ExchangeRouter::pack(RouterFlushStats& st) {
 #endif
   std::vector<vmpi::Bytes> send(n);
   for (std::size_t d = 0; d < n; ++d) {
-    vmpi::TypedWriter<value_t> w;
     for (std::size_t id = 0; id < targets_.size(); ++id) {
       auto& rows = bucket(id, d);
       if (rows.empty()) continue;
       assert(d != me && "self-owned rows take the loopback path");
       const Relation& rel = *targets_[id];
-      if (preaggregate_) combine(rel, rows, st);
-      st.rows_sent += put_route_group(w, id, rows, rel.arity());
+      combine(rel, rows, st);
+      st.rows_sent += put_row_group(send[d], id, rows, rel.arity());
     }
-    send[d] = w.take();
   }
   pending_rows_ = 0;
   return send;
@@ -136,13 +120,17 @@ void ExchangeRouter::recycle() {
 void ExchangeRouter::decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
                             RankProfile& profile) {
   PhaseScope scope(*comm_, profile, Phase::kDedupAgg);
+  std::size_t largest = 0;
   for (const auto& buf : received) {
-    // Zero-copy decode: the frame body is staged straight from the receive
-    // buffer, no per-tuple materialization.
-    decode_route_frame(buf, targets_, [&](std::size_t id, std::span<const value_t> rows) {
+    decode_row_frame(buf, targets_, scratch_, [&](std::size_t id, std::span<const value_t> rows) {
       targets_[id]->stage_rows(rows);
       st.rows_staged += rows.size() / targets_[id]->arity();
+      largest = std::max(largest, rows.size());
     });
+  }
+  // Warm across flushes like the buckets, and shrunk by the same rule.
+  if (scratch_.capacity() > kShrinkFloorValues && largest < scratch_.capacity() / 8) {
+    scratch_ = std::vector<value_t>();
   }
   profile.add_work(Phase::kDedupAgg, st.rows_staged);
 }

@@ -21,22 +21,24 @@
 //     for the same rank that agree on their independent columns collapse
 //     through the target's lattice join *before* they ever hit the wire —
 //     the paper's §IV-A fusion, extended across all rules feeding a target.
+//     The fold is a sort of the bucket and one pass over adjacent equal
+//     keys, and the sort is what the wire codec wants anyway.
 //
-// Wire format of one flush, per destination rank (all units are value_t):
+// Wire format of one flush, per destination rank: one group per target
+// relation with rows bound there,
 //
-//   [ route_id | row_count | row_count * arity values ]*
+//   [ varint route_id | varint row_count | delta-coded rows ]*
 //
-// Empty buffers stay zero bytes on the wire.  Frames carry no checksum of
-// their own: on the faultable mailbox path the reliable channel's envelope
-// (vmpi/reliable.hpp) is the one integrity check, and the slot collectives
-// are outside the fault model.  decode_route_frame() still bounds-checks
-// every header word, so a malformed frame surfaces as
-// vmpi::FrameDecodeError instead of undefined behaviour.
+// written and read by the row codec (core/row_codec.hpp).  Before a group
+// is framed its bucket is sorted (sort_rows), so consecutive rows share
+// leading columns and code as small deltas; with pre-aggregation on, the
+// same pass folds adjacent rows with equal keys.  Empty buckets stay zero
+// bytes on the wire.
 //
 // Route ids are per-router registration indices; every rank must register
 // the same relations in the same order (SPMD, like everything else here).
-// The async engine's point-to-point frames use the same format and codec
-// (put_route_group / decode_route_frame), with its own route tables.
+// The async engine's point-to-point frames use the same codec with its own
+// route tables.
 
 #include <cstdint>
 #include <span>
@@ -44,8 +46,8 @@
 
 #include "core/profile.hpp"
 #include "core/relation.hpp"
+#include "core/row_codec.hpp"
 #include "vmpi/comm.hpp"
-#include "vmpi/serialize.hpp"
 
 namespace paralagg::core {
 
@@ -58,49 +60,6 @@ enum class ExchangeAlgorithm : std::uint8_t {
 /// One collective tuple exchange under the chosen algorithm.  Collective.
 std::vector<vmpi::Bytes> exchange_alltoallv(vmpi::Comm& comm, std::vector<vmpi::Bytes> send,
                                             ExchangeAlgorithm algo);
-
-/// Append one `[ route_id | row_count | rows ]` group to a tuple frame and
-/// return its row count.  `rows` is flat, `arity` values per row.  The one
-/// encoder of the format decode_route_frame reads: router flushes and the
-/// async engine's stage, probe and epoch frames all write through it.
-inline std::size_t put_route_group(vmpi::TypedWriter<value_t>& w, std::size_t route_id,
-                                   std::span<const value_t> rows, std::size_t arity) {
-  const std::size_t count = rows.size() / arity;
-  w.put(static_cast<value_t>(route_id));
-  w.put(static_cast<value_t>(count));
-  w.put_span(rows);
-  return count;
-}
-
-/// Walk one tuple frame `[ route_id | row_count | rows ]*` and call
-/// `on_rows(route_id, rows)` per group.  Every structural check the
-/// decoders rely on lives here — whole-word size, registered route, header
-/// and rows inside the frame — so a malformed frame throws
-/// vmpi::FrameDecodeError and never reads past the buffer.
-template <typename F>
-void decode_route_frame(std::span<const std::byte> frame, std::span<Relation* const> targets,
-                        F&& on_rows) {
-  if (frame.size() % sizeof(value_t) != 0) {
-    throw vmpi::FrameDecodeError("router: frame size is not a whole word count");
-  }
-  vmpi::TypedReader<value_t> r(frame);
-  while (!r.done()) {
-    if (r.remaining() < 2) {
-      throw vmpi::FrameDecodeError("router: frame truncated inside a group header");
-    }
-    const value_t id = r.get();
-    if (id >= targets.size()) {
-      throw vmpi::FrameDecodeError("router: frame names an unregistered route");
-    }
-    const std::size_t arity = targets[static_cast<std::size_t>(id)]->arity();
-    const value_t count = r.get();
-    // Division form: a corrupt count must not overflow the multiply.
-    if (count > r.remaining() / arity) {
-      throw vmpi::FrameDecodeError("router: frame row count overruns payload");
-    }
-    on_rows(static_cast<std::size_t>(id), r.take_span(static_cast<std::size_t>(count) * arity));
-  }
-}
 
 struct RouterFlushStats {
   std::uint64_t rows_sent = 0;       // rows serialized toward remote ranks
@@ -151,9 +110,10 @@ class ExchangeRouter {
   [[nodiscard]] std::vector<value_t>& bucket(std::size_t route_id, std::size_t dest) {
     return outgoing_[route_id * static_cast<std::size_t>(comm_->size()) + dest];
   }
-  /// In-place sender-side combine of one (relation, destination) buffer:
-  /// plain targets deduplicate whole rows, aggregated targets fold rows
-  /// with equal independent columns through the lattice join.
+  /// Sort one (relation, destination) bucket in place and, with
+  /// pre-aggregation on, fold adjacent rows with equal keys: plain targets
+  /// drop duplicate rows, aggregated targets fold rows with equal
+  /// independent columns through the lattice join.
   void combine(const Relation& rel, std::vector<value_t>& rows, RouterFlushStats& st);
   /// Serialize the buckets into per-destination send buffers (combining
   /// when enabled).  Buckets are left intact for recycle().
@@ -161,8 +121,8 @@ class ExchangeRouter {
   /// Clear the buckets, retaining capacity across flushes; shrink only a
   /// bucket whose capacity dwarfs what it just carried.
   void recycle();
-  /// Stage every `[route | count | rows]*` frame of a finished exchange
-  /// (Phase::kDedupAgg).
+  /// Stage every frame of a finished exchange (Phase::kDedupAgg), one
+  /// group at a time through a reused scratch run.
   void decode(const std::vector<vmpi::Bytes>& received, RouterFlushStats& st,
               RankProfile& profile);
 
@@ -171,6 +131,8 @@ class ExchangeRouter {
   std::vector<Relation*> targets_;
   // Flat row buffers, target-major: outgoing_[route_id * nranks + dest].
   std::vector<std::vector<value_t>> outgoing_;
+  // One decoded inbound row group at a time.
+  std::vector<value_t> scratch_;
   std::uint64_t pending_rows_ = 0;
   std::uint64_t loopback_rows_ = 0;
   std::uint64_t hot_routed_rows_ = 0;

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "core/phase_scope.hpp"
-#include "vmpi/serialize.hpp"
+#include "core/row_codec.hpp"
 
 namespace paralagg::core {
 
@@ -55,45 +55,26 @@ std::vector<std::uint32_t> probe_order(std::span<const value_t> batch, std::size
 namespace {
 
 /// Outer-relation serialization feeding the intra-bucket exchange: every
-/// tuple of `tree` goes to each rank probe_dests names for it.
+/// tuple of `tree` goes to each rank probe_dests names for it.  The walk
+/// is in key order, so each destination's run is sorted for the codec.
 std::uint64_t serialize_outer(const storage::TupleBTree& tree, const Relation& outer,
-                              const Relation& inner,
-                              std::vector<vmpi::TypedWriter<value_t>>& outgoing,
+                              const Relation& inner, std::vector<vmpi::Bytes>& send,
                               std::uint64_t& hot_broadcast) {
   std::uint64_t shipped = 0;
   std::vector<int> dests;
+  std::vector<std::vector<value_t>> outgoing(send.size());
   tree.for_each([&](std::span<const value_t> t) {
     if (probe_dests(outer, inner, t, dests)) hot_broadcast += dests.size();
-    for (int d : dests) outgoing[static_cast<std::size_t>(d)].put_span(t);
+    for (int d : dests) {
+      auto& rows = outgoing[static_cast<std::size_t>(d)];
+      rows.insert(rows.end(), t.begin(), t.end());
+    }
     shipped += dests.size();
   });
-  return shipped;
-}
-
-std::vector<vmpi::Bytes> take_all(std::vector<vmpi::TypedWriter<value_t>>& outgoing) {
-  std::vector<vmpi::Bytes> send(outgoing.size());
-  for (std::size_t d = 0; d < outgoing.size(); ++d) send[d] = outgoing[d].take();
-  return send;
-}
-
-/// Decode the received outer buffers into one flat row-major batch.  The
-/// wire format is already flat value_t rows, so this is a single typed
-/// copy per buffer, no per-tuple materialization.
-std::vector<value_t> decode_probe_batch(const std::vector<vmpi::Bytes>& received,
-                                        std::size_t arity) {
-  std::size_t total = 0;
-  for (const auto& buf : received) total += buf.size() / sizeof(value_t);
-  std::vector<value_t> batch;
-  batch.reserve(total);
-  for (const auto& buf : received) {
-    if (buf.size() % (arity * sizeof(value_t)) != 0) {
-      throw vmpi::FrameDecodeError("join: probe batch is not a whole number of rows");
-    }
-    vmpi::TypedReader<value_t> r(buf);
-    const auto vals = r.take_span(r.remaining());
-    batch.insert(batch.end(), vals.begin(), vals.end());
+  for (std::size_t d = 0; d < send.size(); ++d) {
+    if (!outgoing[d].empty()) put_row_group(send[d], 0, outgoing[d], outer.arity());
   }
-  return batch;
+  return shipped;
 }
 
 }  // namespace
@@ -133,17 +114,17 @@ RuleExecStats execute_join(vmpi::Comm& comm, RankProfile& profile, const JoinRul
   std::vector<vmpi::Bytes> received_outer;
   {
     PhaseScope scope(comm, profile, Phase::kIntraBucket);
-    std::vector<vmpi::TypedWriter<value_t>> outgoing(static_cast<std::size_t>(comm.size()));
-    stats.outer_tuples_shipped = serialize_outer(outer.tree(outer_version), outer, inner,
-                                                 outgoing, stats.hot_broadcast_rows);
+    std::vector<vmpi::Bytes> send(static_cast<std::size_t>(comm.size()));
+    stats.outer_tuples_shipped = serialize_outer(outer.tree(outer_version), outer, inner, send,
+                                                 stats.hot_broadcast_rows);
     profile.add_work(Phase::kIntraBucket, stats.outer_tuples_shipped);
-    received_outer = exchange_alltoallv(comm, take_all(outgoing), exchange_algo);
+    received_outer = exchange_alltoallv(comm, std::move(send), exchange_algo);
   }
 
   // ---- Phase: local join (outputs emitted into the router) ------------------
   {
     PhaseScope scope(comm, profile, Phase::kLocalJoin);
-    const std::vector<value_t> batch = decode_probe_batch(received_outer, outer.arity());
+    const std::vector<value_t> batch = decode_frames(received_outer, outer.arity());
     join_sorted_batch(batch, plan.a_outer, inner.tree(inner_version), rule, stats,
                       [&](std::span<const value_t> row) { router.emit(route, row); });
     stats.outputs = stats.matches;

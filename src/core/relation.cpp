@@ -6,48 +6,49 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/row_codec.hpp"
 #include "vmpi/crc32.hpp"
 
 namespace paralagg::core {
 
 Relation::Relation(vmpi::Comm& comm, RelationConfig cfg)
     : comm_(&comm),
-      cfg_(std::move(cfg)),
+      cfg_(validated(std::move(cfg))),
       num_buckets_(static_cast<std::uint32_t>(comm.size())),
       sub_buckets_(cfg_.sub_buckets),
       full_(cfg_.arity, cfg_.arity - cfg_.dep_arity),
       delta_(cfg_.arity, cfg_.arity - cfg_.dep_arity) {
-  validate_config();
   // A relation with no non-join independent columns has nothing for H2 to
   // hash; sub-bucketing cannot apply (all tuples of a bucket would land in
   // sub-bucket 0 anyway).
   if (effective_sub_cols() == 0) sub_buckets_ = 1;
 }
 
-void Relation::validate_config() const {
-  if (cfg_.arity == 0) throw std::invalid_argument(cfg_.name + ": arity must be positive");
-  if (cfg_.jcc == 0 || cfg_.jcc > cfg_.arity) {
-    throw std::invalid_argument(cfg_.name + ": jcc out of range");
+RelationConfig Relation::validated(RelationConfig cfg) {
+  if (cfg.arity == 0) throw std::invalid_argument(cfg.name + ": arity must be positive");
+  if (cfg.jcc == 0 || cfg.jcc > cfg.arity) {
+    throw std::invalid_argument(cfg.name + ": jcc out of range");
   }
-  if (cfg_.dep_arity >= cfg_.arity) {
-    throw std::invalid_argument(cfg_.name + ": at least one independent column required");
+  if (cfg.dep_arity >= cfg.arity) {
+    throw std::invalid_argument(cfg.name + ": at least one independent column required");
   }
   // The paper's restriction (§III-A): aggregated columns are never joined
   // upon within a fixed point.  Structurally: join columns must lie in the
   // independent prefix.
-  if (cfg_.jcc > cfg_.arity - cfg_.dep_arity) {
-    throw std::invalid_argument(cfg_.name +
+  if (cfg.jcc > cfg.arity - cfg.dep_arity) {
+    throw std::invalid_argument(cfg.name +
                                 ": join columns must not include aggregated columns");
   }
-  if (cfg_.dep_arity > 0) {
-    if (!cfg_.aggregator) {
-      throw std::invalid_argument(cfg_.name + ": aggregated relation needs an aggregator");
+  if (cfg.dep_arity > 0) {
+    if (!cfg.aggregator) {
+      throw std::invalid_argument(cfg.name + ": aggregated relation needs an aggregator");
     }
-    if (cfg_.aggregator->dep_arity() != cfg_.dep_arity) {
-      throw std::invalid_argument(cfg_.name + ": aggregator dep_arity mismatch");
+    if (cfg.aggregator->dep_arity() != cfg.dep_arity) {
+      throw std::invalid_argument(cfg.name + ": aggregator dep_arity mismatch");
     }
   }
-  if (cfg_.sub_buckets < 1) throw std::invalid_argument(cfg_.name + ": sub_buckets < 1");
+  if (cfg.sub_buckets < 1) throw std::invalid_argument(cfg.name + ": sub_buckets < 1");
+  return cfg;
 }
 
 std::uint32_t Relation::bucket_of(std::span<const value_t> tuple) const {
@@ -321,8 +322,8 @@ void Relation::commit_batch() {
   journaling_ = false;
   // Fresh containers, not clear(): a rare large batch must not leave its
   // bucket array behind for every later batch to sweep.
-  undo_ = {};
-  touched_ = {};
+  undo_ = decltype(undo_)();
+  touched_ = decltype(touched_)();
   aside_full_.reset();
   aside_delta_.reset();
   aside_support_.reset();
@@ -401,7 +402,9 @@ bool Relation::insert_full(std::span<const value_t> row) {
 
 namespace {
 
-/// The rows of every exchange buffer, concatenated in source-rank order.
+/// The rows of every raw exchange buffer, concatenated in source-rank
+/// order (the balancer's reshuffle ships plain rows: its fan-out planner
+/// prices a move at arity words per row).
 std::vector<value_t> concat_rows(const std::vector<vmpi::Bytes>& bufs) {
   std::size_t total = 0;
   for (const auto& buf : bufs) total += buf.size() / sizeof(value_t);
@@ -415,22 +418,66 @@ std::vector<value_t> concat_rows(const std::vector<vmpi::Bytes>& bufs) {
   return rows;
 }
 
+/// Merge every source's sorted run into one key-sorted run, equal keys in
+/// source-rank order.  The frames decode row by row straight into the
+/// merge, so the merged run (sized from the group headers) is the only
+/// decoded copy.  A heap of the sources' heads costs about 2 log2(sources)
+/// comparisons per row, each charged to `tree`.
+std::vector<value_t> merge_received_runs(const storage::TupleBTree& tree, std::size_t arity,
+                                         const std::vector<vmpi::Bytes>& frames) {
+  std::size_t total = 0;
+  for (const auto& frame : frames) total += frame_rows_hint(frame, arity) * arity;
+  std::vector<value_t> run;
+  run.reserve(total);
+  std::vector<FrameRowCursor> heads;
+  std::vector<std::size_t> heap;  // indices into heads, smallest head on top
+  for (const auto& frame : frames) {
+    heads.emplace_back(frame, arity);
+    if (heads.back().valid()) heap.push_back(heads.size() - 1);
+  }
+  // "Later than": a larger key, or an equal key from a higher rank.
+  const auto later = [&](std::size_t x, std::size_t y) {
+    const auto ord = tree.compare_keys(heads[x].row(), heads[y].row());
+    return ord > 0 || (ord == 0 && x > y);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    FrameRowCursor& head = heads[heap.back()];
+    run.insert(run.end(), head.row().begin(), head.row().end());
+    head.next();
+    if (head.valid()) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return run;
+}
+
 }  // namespace
 
 void Relation::load_facts(std::span<const Tuple> slice) {
   assert(staged_count() == 0 && "facts load between iterations");
   assert(!journaling_ && "fact loads are not journaled");
   const auto n = static_cast<std::size_t>(comm_->size());
-  std::vector<vmpi::BufferWriter> outgoing(n);
+  std::vector<std::vector<value_t>> outgoing(n);
   for (const auto& t : slice) {
     assert(t.size() == cfg_.arity);
-    outgoing[static_cast<std::size_t>(route_rank(t.view()))].put_span(t.view());
+    auto& rows = outgoing[static_cast<std::size_t>(route_rank(t.view()))];
+    rows.insert(rows.end(), t.view().begin(), t.view().end());
   }
   std::vector<vmpi::Bytes> send(n);
-  for (std::size_t d = 0; d < n; ++d) send[d] = outgoing[d].take();
-  auto run = concat_rows(comm_->alltoallv(std::move(send)));
+  for (std::size_t d = 0; d < n; ++d) {
+    if (outgoing[d].empty()) continue;
+    // Whole-row order is key order with equal keys adjacent, which is all
+    // the merge and fold need (the fold is commutative).
+    sort_rows(outgoing[d], cfg_.arity);
+    put_row_group(send[d], 0, outgoing[d], cfg_.arity);
+    outgoing[d] = std::vector<value_t>();  // `= {}` would keep the capacity
+  }
+  auto run = merge_received_runs(full_, cfg_.arity, comm_->alltoallv(std::move(send)));
 
-  full_.sort_run(run);
   fold_sorted_run(run);
   if (aggregated() && cfg_.agg_mode == AggMode::kRefresh) {
     full_.build_sorted(run);  // the loaded aggregates replace the state
@@ -515,20 +562,24 @@ std::uint64_t Relation::global_size(Version v) {
   return comm_->allreduce<std::uint64_t>(local_size(v), vmpi::ReduceOp::kSum);
 }
 
-std::vector<Tuple> Relation::gather_to_root(int root) {
-  vmpi::BufferWriter w;
-  serialize_all(Version::kFull, w);
-  const auto mine = w.take();
-  auto all = comm_->gatherv(root, mine);
+std::vector<value_t> Relation::gather_full(int root) {
+  // The tree walk is in key order: one sorted run per rank for the codec.
+  std::vector<value_t> mine;
+  mine.reserve(full_.size() * cfg_.arity);
+  full_.for_each([&](std::span<const value_t> t) { mine.insert(mine.end(), t.begin(), t.end()); });
+  vmpi::Bytes frame;
+  if (!mine.empty()) put_row_group(frame, 0, mine, cfg_.arity);
+  mine = std::vector<value_t>();
+  const auto all = comm_->gatherv(root, frame);
+  return comm_->rank() == root ? decode_frames(all, cfg_.arity) : std::vector<value_t>{};
+}
 
+std::vector<Tuple> Relation::gather_to_root(int root) {
+  const auto rows = gather_full(root);
   std::vector<Tuple> out;
-  if (comm_->rank() != root) return out;
-  std::size_t total = 0;
-  for (const auto& buf : all) total += buf.size() / (cfg_.arity * sizeof(value_t));
-  out.reserve(total);
-  for (const auto& buf : all) {
-    vmpi::TypedReader<value_t> r(buf);
-    while (!r.done()) out.emplace_back(r.take_span(cfg_.arity));
+  out.reserve(rows.size() / cfg_.arity);
+  for (std::size_t i = 0; i < rows.size(); i += cfg_.arity) {
+    out.emplace_back(std::span<const value_t>(rows).subspan(i, cfg_.arity));
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -585,28 +636,17 @@ constexpr std::size_t kCheckpointHeaderWords = 5;
 }  // namespace
 
 void Relation::save_checkpoint(const std::string& path) {
-  vmpi::BufferWriter w;
-  serialize_all(Version::kFull, w);
-  const auto mine = w.take();
-  auto all = comm_->gatherv(0, mine);
-
+  const auto rows = gather_full(0);
   if (comm_->rank() == 0) {
     std::ofstream out(path, std::ios::binary);
     if (!out) throw std::runtime_error("checkpoint: cannot open for writing: " + path);
-    std::uint64_t count = 0;
-    std::uint32_t crc_state = vmpi::kCrc32Init;
-    for (const auto& buf : all) {
-      count += buf.size() / (cfg_.arity * sizeof(value_t));
-      crc_state = vmpi::crc32_update(crc_state, buf);
-    }
+    const auto body = std::as_bytes(std::span<const value_t>(rows));
     const std::uint64_t header[kCheckpointHeaderWords] = {
-        kCheckpointMagic, kCheckpointVersion, cfg_.arity, count,
-        crc_state ^ vmpi::kCrc32Init};
+        kCheckpointMagic, kCheckpointVersion, cfg_.arity, rows.size() / cfg_.arity,
+        vmpi::crc32(body)};
     out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    for (const auto& buf : all) {
-      out.write(reinterpret_cast<const char*>(buf.data()),
-                static_cast<std::streamsize>(buf.size()));
-    }
+    out.write(reinterpret_cast<const char*>(body.data()),
+              static_cast<std::streamsize>(body.size()));
     if (!out) throw std::runtime_error("checkpoint: write failed: " + path);
   }
   comm_->barrier();  // nobody returns before the file exists
@@ -670,10 +710,6 @@ void Relation::load_checkpoint(const std::string& path) {
 
   reset();
   load_facts(rows);  // rank 0 contributes everything; others pass empty
-}
-
-void Relation::serialize_all(Version v, vmpi::BufferWriter& w) const {
-  tree(v).for_each([&](std::span<const value_t> t) { w.put_span(t); });
 }
 
 }  // namespace paralagg::core

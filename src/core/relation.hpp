@@ -255,9 +255,10 @@ class Relation {
 
   /// Distribute and materialize initial facts.  Collective: every rank
   /// calls it with its (possibly empty) slice; each tuple is routed to its
-  /// owner, which sorts what it received, folds equal keys (duplicates
-  /// dropped, aggregates joined in arrival order, one support event per
-  /// row) and bulk-builds its trees.  Into an empty relation the delta
+  /// owner as part of a key-sorted run per destination, and the owner
+  /// merges the runs it received, folds equal keys (duplicates dropped,
+  /// aggregates joined in source-rank order, one support event per row)
+  /// and bulk-builds its trees.  Into an empty relation the delta
   /// equals the loaded set; into a populated one it holds the new and
   /// ascended rows, as materialize() would.  Refresh relations replace
   /// their state and keep no delta.  Must run between iterations.
@@ -289,15 +290,13 @@ class Relation {
   /// load_facts.  Throws std::runtime_error on IO or format errors.
   void load_checkpoint(const std::string& path);
 
-  // -- serialization helpers ----------------------------------------------------
-
-  void serialize_all(Version v, vmpi::BufferWriter& w) const;
-  static void serialize_tuple(vmpi::BufferWriter& w, std::span<const value_t> t) {
-    w.put_span(t);
-  }
-
  private:
-  void validate_config() const;
+  /// Throws std::invalid_argument on a malformed shape; runs before any
+  /// member is built from it.
+  static RelationConfig validated(RelationConfig cfg);
+  /// Every row of `full`, gathered to `root` flat in source-rank order
+  /// (empty elsewhere).  Collective.
+  std::vector<value_t> gather_full(int root);
   /// out := cur_dep ⊔ dep; true iff that strictly ascends past cur_dep.
   bool ascend(std::span<const value_t> cur_dep, std::span<const value_t> dep,
               std::span<value_t> out) const;

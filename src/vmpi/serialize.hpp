@@ -86,8 +86,8 @@ class BufferReader {
 
 /// Append-only writer of a homogeneous element stream, backed by the same
 /// byte vector the exchange primitives move.  The element-typed cousin of
-/// BufferWriter: the ExchangeRouter frames its tuple traffic through this
-/// so take() hands the buffer to alltoallv with no repacking.
+/// BufferWriter: take() hands the buffer to an exchange with no repacking.
+/// (Row exchanges use the delta-coded row codec, core/row_codec.hpp.)
 template <typename T>
   requires std::is_trivially_copyable_v<T>
 class TypedWriter {
@@ -120,8 +120,7 @@ class TypedWriter {
 
 /// Zero-copy reader over a byte buffer holding a homogeneous element
 /// stream.  Unlike BufferReader, `take_span` returns a *view* into the
-/// buffer — the decode path of a tuple exchange never materializes
-/// per-tuple copies.  The buffer must outlive every span taken from it,
+/// buffer, with no per-element copies.  The buffer must outlive every span taken from it,
 /// and its size must be an exact multiple of sizeof(T).
 template <typename T>
   requires std::is_trivially_copyable_v<T>

@@ -8,6 +8,9 @@
 // the warm service.  Reports:
 //
 //   p99 latency — 99th-percentile apply_updates wall vs mean fresh wall
+//   stages      — the median batch's stage times
+//   wire        — the median batch's remote bytes, and lookup bytes per
+//                 256 keys (summed over ranks)
 //   tuples      — derived-tuple work, incremental vs recompute
 //   lookups/s   — batched point lookups served between batches
 //
@@ -113,6 +116,10 @@ int main(int argc, char** argv) {
   std::vector<double> inc_ms(nbatches, 0);
   std::vector<std::uint64_t> inc_tuples(nbatches, 0);
   std::vector<serving::BatchStageSeconds> inc_stages(nbatches);
+  // Remote bytes per rank: each batch's, and all lookup rounds'.
+  std::vector<std::vector<std::uint64_t>> batch_bytes(
+      ranks, std::vector<std::uint64_t>(nbatches, 0));
+  std::vector<std::uint64_t> lookup_bytes(ranks, 0);
   std::vector<Tuple> inc_rows;
   double lookup_sec = 0;
   std::uint64_t lookups_done = 0;
@@ -122,10 +129,13 @@ int main(int argc, char** argv) {
     serving::ServingEngine srv(comm, *prog.program, {});
     queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
     srv.start();
+    const auto me = static_cast<std::size_t>(comm.rank());
     for (int i = 0; i < nbatches; ++i) {
       const auto batch = shard_batch(comm, batches[static_cast<std::size_t>(i)]);
+      const auto b0 = comm.stats().total_remote_bytes();
       const auto t0 = Clock::now();
       const auto res = srv.apply_updates(batch);
+      batch_bytes[me][static_cast<std::size_t>(i)] = comm.stats().total_remote_bytes() - b0;
       if (comm.rank() == 0) {
         inc_ms[static_cast<std::size_t>(i)] = ms_since(t0);
         inc_tuples[static_cast<std::size_t>(i)] = res.tuples_derived;
@@ -139,11 +149,13 @@ int main(int argc, char** argv) {
     keys.reserve(nodes);
     for (value_t v = 0; v < nodes; ++v) keys.push_back(Tuple{v});
     const int rounds = 20;
+    const auto b0 = comm.stats().total_remote_bytes();
     const auto t0 = Clock::now();
     for (int r = 0; r < rounds; ++r) {
       auto rows = srv.lookup_batch("spath", keys);
       do_not_optimize(rows.size());
     }
+    lookup_bytes[me] = comm.stats().total_remote_bytes() - b0;
     if (comm.rank() == 0) {
       lookup_sec = ms_since(t0) / 1e3;
       lookups_done = static_cast<std::uint64_t>(rounds) * nodes;
@@ -222,6 +234,18 @@ int main(int argc, char** argv) {
     std::printf(" %s %.3f", name, ms[ms.size() / 2]);
   }
   std::printf("\n");
+  std::vector<std::uint64_t> per_batch(nbatches, 0);
+  for (const auto& mine : batch_bytes) {
+    for (std::size_t i = 0; i < per_batch.size(); ++i) per_batch[i] += mine[i];
+  }
+  std::nth_element(per_batch.begin(),
+                   per_batch.begin() + static_cast<std::ptrdiff_t>(per_batch.size() / 2),
+                   per_batch.end());
+  std::uint64_t lookup_total = 0;
+  for (const auto b : lookup_bytes) lookup_total += b;
+  std::printf("wire, bytes         : update %llu per median batch, lookup %.0f per 256 keys\n",
+              static_cast<unsigned long long>(per_batch[per_batch.size() / 2]),
+              256.0 * static_cast<double>(lookup_total) / static_cast<double>(lookups_done));
   std::printf("derived tuple work  : %8llu      (recompute %8llu)\n",
               static_cast<unsigned long long>(inc_total),
               static_cast<unsigned long long>(fresh_total));

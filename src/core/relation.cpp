@@ -418,43 +418,6 @@ std::vector<value_t> concat_rows(const std::vector<vmpi::Bytes>& bufs) {
   return rows;
 }
 
-/// Merge every source's sorted run into one key-sorted run, equal keys in
-/// source-rank order.  The frames decode row by row straight into the
-/// merge, so the merged run (sized from the group headers) is the only
-/// decoded copy.  A heap of the sources' heads costs about 2 log2(sources)
-/// comparisons per row, each charged to `tree`.
-std::vector<value_t> merge_received_runs(const storage::TupleBTree& tree, std::size_t arity,
-                                         const std::vector<vmpi::Bytes>& frames) {
-  std::size_t total = 0;
-  for (const auto& frame : frames) total += frame_rows_hint(frame, arity) * arity;
-  std::vector<value_t> run;
-  run.reserve(total);
-  std::vector<FrameRowCursor> heads;
-  std::vector<std::size_t> heap;  // indices into heads, smallest head on top
-  for (const auto& frame : frames) {
-    heads.emplace_back(frame, arity);
-    if (heads.back().valid()) heap.push_back(heads.size() - 1);
-  }
-  // "Later than": a larger key, or an equal key from a higher rank.
-  const auto later = [&](std::size_t x, std::size_t y) {
-    const auto ord = tree.compare_keys(heads[x].row(), heads[y].row());
-    return ord > 0 || (ord == 0 && x > y);
-  };
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    FrameRowCursor& head = heads[heap.back()];
-    run.insert(run.end(), head.row().begin(), head.row().end());
-    head.next();
-    if (head.valid()) {
-      std::push_heap(heap.begin(), heap.end(), later);
-    } else {
-      heap.pop_back();
-    }
-  }
-  return run;
-}
-
 }  // namespace
 
 void Relation::load_facts(std::span<const Tuple> slice) {
@@ -476,7 +439,12 @@ void Relation::load_facts(std::span<const Tuple> slice) {
     put_row_group(send[d], 0, outgoing[d], cfg_.arity);
     outgoing[d] = std::vector<value_t>();  // `= {}` would keep the capacity
   }
-  auto run = merge_received_runs(full_, cfg_.arity, comm_->alltoallv(std::move(send)));
+  // Equal keys merge in source-rank order; every comparison is charged to
+  // full_.
+  auto run = merge_frame_runs(comm_->alltoallv(std::move(send)), cfg_.arity,
+                              [this](std::span<const value_t> a, std::span<const value_t> b) {
+                                return full_.compare_keys(a, b);
+                              });
 
   fold_sorted_run(run);
   if (aggregated() && cfg_.agg_mode == AggMode::kRefresh) {

@@ -32,6 +32,7 @@
 // count, so a malformed frame throws vmpi::FrameDecodeError and never
 // reads past the buffer.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -160,5 +161,44 @@ void append_frame_rows(std::span<const std::byte> frame, std::size_t arity,
 /// Every row of a set of single-relation frames, flat in frame order, in
 /// one buffer sized from their group headers.
 std::vector<value_t> decode_frames(const std::vector<vmpi::Bytes>& frames, std::size_t arity);
+
+/// Merge single-relation frames, each one run sorted by `cmp` (a three-way
+/// comparison of two rows), into one sorted run, equal rows in frame
+/// order.  The frames decode row by row straight into the merge, so the
+/// merged run (sized from the group headers) is the only decoded copy.  A
+/// heap of the frames' heads costs about 2 log2(frames) calls of `cmp` per
+/// row.
+template <typename Cmp>
+std::vector<value_t> merge_frame_runs(const std::vector<vmpi::Bytes>& frames,
+                                      std::size_t arity, Cmp cmp) {
+  std::size_t total = 0;
+  for (const auto& frame : frames) total += frame_rows_hint(frame, arity) * arity;
+  std::vector<value_t> run;
+  run.reserve(total);
+  std::vector<FrameRowCursor> heads;
+  std::vector<std::size_t> heap;  // indices into heads, smallest head on top
+  for (const auto& frame : frames) {
+    heads.emplace_back(frame, arity);
+    if (heads.back().valid()) heap.push_back(heads.size() - 1);
+  }
+  // "Later than": a larger row, or an equal one from a later frame.
+  const auto later = [&](std::size_t x, std::size_t y) {
+    const auto ord = cmp(heads[x].row(), heads[y].row());
+    return ord > 0 || (ord == 0 && x > y);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    FrameRowCursor& head = heads[heap.back()];
+    run.insert(run.end(), head.row().begin(), head.row().end());
+    head.next();
+    if (head.valid()) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return run;
+}
 
 }  // namespace paralagg::core

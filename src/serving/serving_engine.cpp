@@ -1,8 +1,8 @@
 #include "serving/serving_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <unordered_set>
 #include <utility>
@@ -10,8 +10,8 @@
 
 #include "core/expr.hpp"
 #include "core/ra_op.hpp"
+#include "core/row_codec.hpp"
 #include "vmpi/fault.hpp"
-#include "vmpi/serialize.hpp"
 
 namespace paralagg::serving {
 
@@ -202,31 +202,21 @@ void ServingEngine::classify_and_validate() {
   }
 }
 
-std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send) {
-  // Owner-routed mutation rows ride the faultable mailbox exchange (the
-  // dense alltoallv would bypass fault injection and the reliable channel
-  // entirely), so the channel's envelope checks and dedups them.
-  const auto n = send.size();
-  std::vector<vmpi::Bytes> raw(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    vmpi::TypedWriter<value_t> w(send[d].size());
-    w.put_span(std::span<const value_t>(send[d]));
-    raw[d] = w.take();
+std::vector<value_t> ServingEngine::exchange_flat(std::vector<std::vector<value_t>> send,
+                                                  std::size_t arity) {
+  std::vector<vmpi::Bytes> frames(send.size());
+  for (std::size_t d = 0; d < send.size(); ++d) {
+    if (send[d].empty()) continue;
+    // Sorted, never folded: support counts need every derivation event.
+    core::sort_rows(send[d], arity);
+    core::put_row_group(frames[d], 0, send[d], arity);
+    send[d] = std::vector<value_t>();  // `= {}` would keep the capacity
   }
-  const auto got = comm_->alltoallv_mailbox(std::move(raw));
-  std::size_t total = 0;
-  for (const auto& b : got) total += b.size() / sizeof(value_t);
-  std::vector<value_t> flat;
-  flat.reserve(total);
-  for (const auto& b : got) {
-    if (b.size() % sizeof(value_t) != 0) {
-      throw vmpi::FrameDecodeError("serving: mutation frame is not a whole word count");
-    }
-    const std::size_t old = flat.size();
-    flat.resize(old + b.size() / sizeof(value_t));
-    if (!b.empty()) std::memcpy(flat.data() + old, b.data(), b.size());
-  }
-  return flat;
+  return core::merge_frame_runs(comm_->alltoallv_mailbox(std::move(frames)), arity,
+                                [](std::span<const value_t> a, std::span<const value_t> b) {
+                                  return std::lexicographical_compare_three_way(
+                                      a.begin(), a.end(), b.begin(), b.end());
+                                });
 }
 
 std::vector<Relation*> ServingEngine::mutable_relations() const {
@@ -304,12 +294,10 @@ void ServingEngine::build_reverse_indexes() {
           std::copy(row.begin(), row.end(), rrow.begin() + 1);
           append_row(send[static_cast<std::size_t>(rs.rev->owner_rank(rrow))], rrow);
         });
-    auto flat = exchange_flat(std::move(send));
-    auto& tree = rs.rev->tree(core::Version::kFull);
     // Each reverse row extends a distinct base row, so the sorted run is
-    // already strictly increasing: no fold needed.
-    tree.sort_run(flat);
-    tree.build_sorted(flat);
+    // strictly increasing: no fold needed.
+    const auto run = exchange_flat(std::move(send), rs.rev->arity());
+    rs.rev->tree(core::Version::kFull).build_sorted(run);
   }
 }
 
@@ -357,7 +345,7 @@ void ServingEngine::apply_base(const GroupedBatch& byrel, RowsBy& deleted, RowsB
       }
     }
     const std::size_t ar = b->arity();
-    auto dflat = exchange_flat(std::move(del));
+    auto dflat = exchange_flat(std::move(del), ar);
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       const std::span<const value_t> row{dflat.data() + off, ar};
       if (!b->retract_key(row.first(b->indep_arity())).empty()) {
@@ -367,7 +355,7 @@ void ServingEngine::apply_base(const GroupedBatch& byrel, RowsBy& deleted, RowsB
         ++res.missing_deletes;
       }
     }
-    auto iflat = exchange_flat(std::move(ins));
+    auto iflat = exchange_flat(std::move(ins), ar);
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       const std::span<const value_t> row{iflat.data() + off, ar};
       if (b->insert_full(row)) {
@@ -392,11 +380,11 @@ void ServingEngine::apply_base(const GroupedBatch& byrel, RowsBy& deleted, RowsB
     pack(rows_of(deleted, rs.base), del);
     pack(rows_of(inserted, rs.base), ins);
     const std::size_t ar = rs.rev->arity();
-    auto dflat = exchange_flat(std::move(del));
+    auto dflat = exchange_flat(std::move(del), ar);
     for (std::size_t off = 0; off < dflat.size(); off += ar) {
       (void)rs.rev->retract_key(std::span<const value_t>{dflat.data() + off, ar});
     }
-    auto iflat = exchange_flat(std::move(ins));
+    auto iflat = exchange_flat(std::move(ins), ar);
     for (std::size_t off = 0; off < iflat.size(); off += ar) {
       rs.rev->insert_full(std::span<const value_t>{iflat.data() + off, ar});
     }
@@ -416,7 +404,7 @@ void ServingEngine::join_hop(const core::JoinRule& jr, const Relation& probe_rel
     core::probe_dests(probe_rel, partner, row, dests);
     for (const int d : dests) append_row(send[static_cast<std::size_t>(d)], row);
   }
-  const auto flat = exchange_flat(std::move(send));
+  const auto flat = exchange_flat(std::move(send), par);
   core::RuleExecStats unused;
   core::join_sorted_batch(flat, probe_is_a, std::as_const(partner.tree(core::Version::kFull)),
                           jr, unused, [&](std::span<const value_t> head) {
@@ -454,8 +442,8 @@ void ServingEngine::retract_wavefront(const RowsBy& deleted_base, KeysBy& retrac
     RowsBy next;
     std::uint64_t round_retracted = 0;
     for (Relation* t : rec_targets_) {
-      auto flat = exchange_flat(std::move(cand[t]));
       const std::size_t ar = t->arity(), indep = t->indep_arity();
+      auto flat = exchange_flat(std::move(cand[t]), ar);
       for (std::size_t off = 0; off < flat.size(); off += ar) {
         const std::span<const value_t> row{flat.data() + off, ar};
         const auto key = row.first(indep);
@@ -509,10 +497,12 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
     // Hop 1: each retracted key's head column (deduped — two keys sharing
     // it would enumerate the same premises twice and double-count events),
     // shipped to whoever holds matching premises.
-    std::unordered_set<value_t> k0s;
+    std::vector<value_t> k0s;
     if (const auto it = retracted.find(target); it != retracted.end()) {
-      for (const Tuple& k : it->second) k0s.insert(k[0]);
+      for (const Tuple& k : it->second) k0s.push_back(k[0]);
     }
+    std::sort(k0s.begin(), k0s.end());
+    k0s.erase(std::unique(k0s.begin(), k0s.end()), k0s.end());
     std::vector<std::vector<value_t>> ksend(n);
     std::vector<int> dests;
     for (const value_t k0 : k0s) {
@@ -520,9 +510,10 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
       scan_rel->ranks_of_bucket(scan_rel->bucket_of(one), dests);
       for (const int d : dests) ksend[static_cast<std::size_t>(d)].push_back(k0);
     }
-    auto kflat = exchange_flat(std::move(ksend));
-    // Dedupe arrivals too: distinct owners may request the same column value.
-    const std::unordered_set<value_t> kset(kflat.begin(), kflat.end());
+    // Dedupe arrivals too (they come merged, so sorted): distinct owners
+    // may request the same column value.
+    auto kset = exchange_flat(std::move(ksend), 1);
+    kset.erase(std::unique(kset.begin(), kset.end()), kset.end());
 
     // Enumerate premises; join rules take one more hop to pair them with
     // the partner side.
@@ -547,8 +538,8 @@ void ServingEngine::recover_retracted(const KeysBy& retracted, UpdateResult& res
     // Final hop: candidates to the target owner, staged ONLY for keys this
     // batch retracted — survivors keep their state, and the insert-seeding
     // pass (which skips retracted keys) covers everything else.
-    auto cflat = exchange_flat(std::move(out));
     const std::size_t tar = target->arity(), indep = target->indep_arity();
+    auto cflat = exchange_flat(std::move(out), tar);
     const auto rit = retracted.find(target);
     for (std::size_t off = 0; off < cflat.size(); off += tar) {
       const std::span<const value_t> crow{cflat.data() + off, tar};
@@ -574,8 +565,8 @@ void ServingEngine::seed_inserts(const RowsBy& inserted_base, const KeysBy& retr
       Tuple head;
       for (const Tuple& p : rows_of(inserted_base, c.src)) emit_copy(c, p.view(), head, out);
     }
-    auto cflat = exchange_flat(std::move(out));
     const std::size_t tar = target->arity(), indep = target->indep_arity();
+    auto cflat = exchange_flat(std::move(out), tar);
     const auto rit = retracted.find(target);
     for (std::size_t off = 0; off < cflat.size(); off += tar) {
       const std::span<const value_t> crow{cflat.data() + off, tar};
@@ -657,11 +648,14 @@ UpdateResult ServingEngine::apply_updates(const UpdateBatch& batch) {
       }
     }
 
-    // Fold the owner-local counters so the result is identical everywhere.
-    for (auto* f : {&res.base_inserted, &res.base_deleted, &res.missing_deletes,
-                    &res.retracted, &res.recovered, &res.tuples_derived}) {
-      *f = comm_->allreduce<std::uint64_t>(*f, vmpi::ReduceOp::kSum);
-    }
+    // Fold the owner-local counters in one reduction so the result is
+    // identical everywhere.
+    const std::array counters{&res.base_inserted, &res.base_deleted, &res.missing_deletes,
+                              &res.retracted,     &res.recovered,    &res.tuples_derived};
+    std::array<std::uint64_t, counters.size()> sums{};
+    for (std::size_t i = 0; i < counters.size(); ++i) sums[i] = *counters[i];
+    comm_->allreduce_each(std::span<std::uint64_t>(sums), vmpi::ReduceOp::kSum);
+    for (std::size_t i = 0; i < counters.size(); ++i) *counters[i] = sums[i];
 
     ++batches_applied_;
     if (cfg_.checkpoint_every_batches > 0 && !cfg_.manifest_path.empty() &&
@@ -698,40 +692,15 @@ UpdateResult ServingEngine::apply_updates(const UpdateBatch& batch) {
 
 std::vector<Tuple> ServingEngine::lookup(const std::string& relation,
                                          std::span<const value_t> prefix) {
-  if (!ready_) {
-    throw ServingError("lookup('" + relation +
-                       "') before start(): bring the fixpoint up first");
-  }
-  Relation* r = find_relation(relation);
-  const auto& tree = std::as_const(r->tree(core::Version::kFull));
-  if (prefix.size() > tree.key_arity()) {
-    throw ServingError("lookup prefix longer than the key of '" + relation + "'");
-  }
-  vmpi::BufferWriter w;
-  tree.scan_prefix(prefix, [&](std::span<const value_t> row) { w.put_span(row); });
-  const auto mine = w.take();
-  const auto blocks = comm_->allgatherv(std::span<const std::byte>(mine));
-  std::vector<Tuple> out;
-  const std::size_t ar = r->arity();
-  Tuple t;
-  t.reserve(ar);
-  for (const auto& b : blocks) {
-    vmpi::BufferReader rd(b);
-    while (rd.remaining() >= ar * sizeof(value_t)) {
-      t.clear();
-      for (std::size_t c = 0; c < ar; ++c) t.push_back(rd.get<value_t>());
-      out.push_back(t);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  const Tuple key(prefix);
+  return std::move(lookup_batch(relation, std::span<const Tuple>(&key, 1)).front());
 }
 
 std::vector<std::vector<Tuple>> ServingEngine::lookup_batch(const std::string& relation,
                                                             std::span<const Tuple> keys) {
   if (!ready_) {
-    throw ServingError("lookup_batch('" + relation +
-                       "') before start(): bring the fixpoint up first");
+    throw ServingError("lookup in '" + relation +
+                       "' before start(): bring the fixpoint up first");
   }
   Relation* r = find_relation(relation);
   const auto& tree = std::as_const(r->tree(core::Version::kFull));
@@ -747,52 +716,70 @@ std::vector<std::vector<Tuple>> ServingEngine::lookup_batch(const std::string& r
   }
 
   // One monotone cursor pass over the sorted unique keys: consecutive
-  // seeks resume from the current leaf (storage/btree.hpp).
+  // seeks resume from the current leaf (storage/btree.hpp).  Equal-length
+  // keys match disjoint, increasing row ranges, so the matches form one
+  // sorted run.
   std::vector<Tuple> uniq(keys.begin(), keys.end());
   std::sort(uniq.begin(), uniq.end());
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-
-  vmpi::BufferWriter w;
-  auto c = tree.cursor();
-  std::vector<value_t> rows;
-  for (std::size_t i = 0; i < uniq.size(); ++i) {
-    rows.clear();
-    for (c.seek(uniq[i].view()); c.valid() && c.matches(uniq[i].view()); c.next()) {
-      rows.insert(rows.end(), c.row().begin(), c.row().end());
-    }
-    if (!rows.empty()) {
-      w.put<std::uint64_t>(i);
-      w.put<std::uint64_t>(rows.size());
-      w.put_span(std::span<const value_t>(rows));
-    }
-  }
-  const auto mine = w.take();
-  const auto blocks = comm_->allgatherv(std::span<const std::byte>(mine));
-
-  std::vector<std::vector<Tuple>> per_uniq(uniq.size());
   const std::size_t ar = r->arity();
-  Tuple t;
-  t.reserve(ar);
-  for (const auto& b : blocks) {
-    vmpi::BufferReader rd(b);
-    while (rd.remaining() >= 2 * sizeof(std::uint64_t)) {
-      const auto idx = static_cast<std::size_t>(rd.get<std::uint64_t>());
-      const auto count = static_cast<std::size_t>(rd.get<std::uint64_t>());
-      for (std::size_t v = 0; v < count; v += ar) {
-        t.clear();
-        for (std::size_t col = 0; col < ar; ++col) t.push_back(rd.get<value_t>());
-        per_uniq[idx].push_back(t);
-      }
+  std::vector<value_t> mine;
+  auto c = tree.cursor();
+  for (const Tuple& k : uniq) {
+    for (c.seek(k.view()); c.valid() && c.matches(k.view()); c.next()) {
+      append_row(mine, c.row());
     }
   }
-  for (auto& rows_for_key : per_uniq) std::sort(rows_for_key.begin(), rows_for_key.end());
+  vmpi::Bytes frame;
+  if (!mine.empty()) core::put_row_group(frame, 0, mine, ar);
+  auto per_uniq = decode_lookup_replies(comm_->allgatherv(frame), uniq, ar);
 
+  // The last request for a key takes its rows; earlier repeats copy them.
   std::vector<std::vector<Tuple>> out(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto it = std::lower_bound(uniq.begin(), uniq.end(), keys[i]);
-    out[i] = per_uniq[static_cast<std::size_t>(it - uniq.begin())];
+  std::vector<std::size_t> taken_by(uniq.size(), keys.size());
+  for (std::size_t i = keys.size(); i-- > 0;) {
+    const auto u = static_cast<std::size_t>(
+        std::lower_bound(uniq.begin(), uniq.end(), keys[i]) - uniq.begin());
+    out[i] = taken_by[u] == keys.size() ? std::move(per_uniq[u]) : out[taken_by[u]];
+    taken_by[u] = i;
   }
   return out;
+}
+
+std::vector<std::vector<Tuple>> decode_lookup_replies(const std::vector<vmpi::Bytes>& replies,
+                                                      std::span<const Tuple> uniq,
+                                                      std::size_t arity) {
+  const std::size_t klen = uniq.empty() ? 0 : uniq.front().size();
+  // Decode the replies into one flat run, noting each row's key, so every
+  // key's rows are then allocated once, at their final size.
+  std::vector<value_t> flat;
+  std::vector<std::size_t> key_of, count(uniq.size(), 0);
+  for (const auto& reply : replies) {
+    const std::size_t first = flat.size();
+    core::append_frame_rows(reply, arity, flat);
+    std::size_t k = 0;  // forward only: a reply is one run in key order
+    for (std::size_t off = first; off < flat.size(); off += arity) {
+      const auto key = std::span<const value_t>(flat).subspan(off, klen);
+      while (k < uniq.size() && std::ranges::lexicographical_compare(uniq[k].view(), key)) ++k;
+      if (k == uniq.size() || std::ranges::lexicographical_compare(key, uniq[k].view())) {
+        throw vmpi::FrameDecodeError(
+            "serving: lookup reply row out of key order or for a key not requested");
+      }
+      key_of.push_back(k);
+      ++count[k];
+    }
+  }
+  std::vector<std::vector<Tuple>> per_key(uniq.size());
+  for (std::size_t k = 0; k < uniq.size(); ++k) per_key[k].reserve(count[k]);
+  for (std::size_t r = 0; r < key_of.size(); ++r) {
+    per_key[key_of[r]].emplace_back(std::span<const value_t>(flat).subspan(r * arity, arity));
+  }
+  // One reply's rows for a key are sorted; rows from several (a
+  // sub-bucketed relation) may need a sort.
+  for (auto& rows : per_key) {
+    if (!std::is_sorted(rows.begin(), rows.end())) std::sort(rows.begin(), rows.end());
+  }
+  return per_key;
 }
 
 }  // namespace paralagg::serving

@@ -75,8 +75,8 @@ struct ServingConfig {
   /// Engine knobs for the resident engine.  Serving forces the settings
   /// its bookkeeping depends on: sender-side pre-aggregation OFF (support
   /// counts need per-event staging), dense exchange (the one exchange its
-  /// fault and rollback paths are tested under: only `exchange_flat`'s
-  /// mutation frames ride the faultable mailboxes), spatial balancing OFF
+  /// fault and rollback paths are tested under: only `exchange_flat`'s row
+  /// frames ride the faultable mailboxes), spatial balancing OFF
   /// (support counts are keyed locally and must not migrate mid-service),
   /// and the engine's own iteration checkpointing OFF (serving checkpoints
   /// at batch boundaries instead).
@@ -164,6 +164,15 @@ struct UpdateResult {
   std::string fault_what;
 };
 
+/// The receive side of ServingEngine::lookup_batch: the rows of every
+/// rank's reply (one sorted row-codec run) per key of `uniq` (sorted,
+/// unique, one length, at most `arity`), each key's rows sorted.  Throws
+/// vmpi::FrameDecodeError on a malformed frame or a row out of key order
+/// or for a key not requested.
+std::vector<std::vector<Tuple>> decode_lookup_replies(const std::vector<vmpi::Bytes>& replies,
+                                                      std::span<const Tuple> uniq,
+                                                      std::size_t arity);
+
 class ServingEngine {
  public:
   /// Validates the program shape and forces the engine config (see
@@ -205,10 +214,11 @@ class ServingEngine {
   [[nodiscard]] std::vector<Tuple> lookup(const std::string& relation,
                                           std::span<const value_t> prefix);
 
-  /// Batched point lookups: result[i] holds the rows matching keys[i].
-  /// Keys are probed in sorted order through one monotone B-tree cursor
-  /// per rank (the PR-4 read path) and shipped in a single allgather.
-  /// Collective, same preconditions as lookup().
+  /// Batched point lookups: result[i] holds lookup(relation, keys[i]).
+  /// Keys must share one length.  Each rank probes the sorted unique keys
+  /// through one monotone B-tree cursor and ships its matches as one
+  /// sorted run in a single allgather.  Collective, same preconditions as
+  /// lookup().
   [[nodiscard]] std::vector<std::vector<Tuple>> lookup_batch(
       const std::string& relation, std::span<const Tuple> keys);
 
@@ -257,11 +267,13 @@ class ServingEngine {
 
   void classify_and_validate();
 
-  /// Route `send[dest]` flat rows and return the received rows, flattened.
-  /// Rides the faultable mailbox exchange, so serving's mutation
-  /// traffic heals under the reliable channel (or, detect-only, a corrupt
-  /// frame surfaces as a typed FrameDecodeError, never silent garbage).
-  std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send);
+  /// Route `send[dest]` (flat rows of `arity` values) as sorted row-codec
+  /// runs and return every received row, merged into one sorted run.
+  /// Rides the faultable mailbox exchange, so serving's row traffic heals
+  /// under the reliable channel (or, detect-only, a corrupt frame surfaces
+  /// as a typed FrameDecodeError, never silent garbage).
+  std::vector<value_t> exchange_flat(std::vector<std::vector<value_t>> send,
+                                     std::size_t arity);
 
   /// Every relation a batch can mutate: the program's and the reverse
   /// indexes.

@@ -450,31 +450,38 @@ class Comm {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   T allreduce(T local, ReduceOp op) {
-    BufferWriter w(sizeof(T));
-    w.put(local);
-    // Block allgather on the configured schedule, then a local fold in
-    // rank order: the deterministic reduction-order contract holds on
-    // every schedule because the fold never depends on arrival order.
-    auto all = gather_blocks(w.take(), Op::kAllreduce);
-    T acc{};
-    bool first = true;
-    for (const auto& b : all) {
-      BufferReader r(b);
-      const T v = r.get<T>();
-      if (first) {
-        acc = v;
-        first = false;
-        continue;
-      }
-      switch (op) {
-        case ReduceOp::kSum: acc = static_cast<T>(acc + v); break;
-        case ReduceOp::kMin: acc = v < acc ? v : acc; break;
-        case ReduceOp::kMax: acc = acc < v ? v : acc; break;
-        case ReduceOp::kLand: acc = static_cast<T>(acc && v); break;
-        case ReduceOp::kLor: acc = static_cast<T>(acc || v); break;
+    allreduce_each(std::span<T>(&local, 1), op);
+    return local;
+  }
+
+  /// Element-wise allreduce of `values`, in place, in one collective: a
+  /// block allgather on the configured schedule, then a local fold of each
+  /// element in rank order.  The deterministic reduction-order contract
+  /// holds on every schedule because the fold never depends on arrival
+  /// order.  Every rank passes the same number of values.
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void allreduce_each(std::span<T> values, ReduceOp op) {
+    BufferWriter w(values.size_bytes());
+    w.put_span(std::span<const T>(values));
+    const auto all = gather_blocks(w.take(), Op::kAllreduce);
+    for (std::size_t r = 0; r < all.size(); ++r) {
+      BufferReader rd(all[r]);
+      for (T& acc : values) {
+        const T v = rd.get<T>();
+        if (r == 0) {
+          acc = v;
+          continue;
+        }
+        switch (op) {
+          case ReduceOp::kSum: acc = static_cast<T>(acc + v); break;
+          case ReduceOp::kMin: acc = v < acc ? v : acc; break;
+          case ReduceOp::kMax: acc = acc < v ? v : acc; break;
+          case ReduceOp::kLand: acc = static_cast<T>(acc && v); break;
+          case ReduceOp::kLor: acc = static_cast<T>(acc || v); break;
+        }
       }
     }
-    return acc;
   }
 
   template <typename T>

@@ -6,18 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <vector>
 
 #include "queries/cc.hpp"
 #include "queries/pagerank.hpp"
+#include "queries/programs.hpp"
 #include "queries/sssp.hpp"
 #include "queries/tc.hpp"
+#include "serving/serving_engine.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace paralagg {
 namespace {
 
 using queries::Tuple;
+using queries::value_t;
 
 TEST(Determinism, RepeatedSsspRunsAreBitIdentical) {
   const auto g = graph::make_rmat({.scale = 8, .edge_factor = 5, .seed = 21});
@@ -276,6 +281,58 @@ TEST(Determinism, BspKernelCountersPinned) {
       expect_pinned(cc.run, {2400, 1728, 7008, 1728, 45808, {503, 0}});
     }
   });
+}
+
+// Counter pin for serving's wire: the exact remote bytes a seeded SSSP
+// service ships in 20 apply_updates batches (two inserts and one delete
+// each) and in the 256-key lookup_batch after each, summed over ranks.
+// Every serving frame is a sorted row-codec run, so the bytes depend only
+// on the rows shipped.  Serving's raw 8-byte words before the codec (the
+// tail's engine exchanges already used it): 28326 update bytes and 380640
+// lookup bytes.
+TEST(Determinism, ServingBytesPinned) {
+  constexpr int kRanks = 4;
+  constexpr std::size_t kBatches = 20, kKeys = 256;
+  const auto g = graph::make_rmat({.scale = 8, .edge_factor = 4, .seed = 21});
+  const auto nodes = g.num_nodes;
+  std::array<std::uint64_t, kRanks> update_bytes{}, lookup_bytes{};
+  vmpi::run(kRanks, [&](vmpi::Comm& comm) {
+    auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
+    serving::ServingEngine srv(comm, *prog.program, {});
+    queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+    srv.start();
+    const auto me = static_cast<std::size_t>(comm.rank());
+    for (std::size_t i = 0; i < kBatches; ++i) {
+      const auto k = static_cast<value_t>(i);
+      // Rank i % kRanks contributes the batch; the others send nothing.
+      serving::RelationDelta d;
+      d.relation = "edge";
+      if (me == i % kRanks) {
+        d.inserts.push_back(Tuple{(3 * k + 1) % nodes, (5 * k + 7) % nodes, 1 + k % 9});
+        d.inserts.push_back(Tuple{(7 * k + 2) % nodes, (11 * k + 3) % nodes, 1 + k % 5});
+        const auto& e = g.edges[(13 * i) % g.edges.size()];
+        d.deletes.push_back(Tuple{e.src, e.dst, e.weight});
+      }
+      std::vector<Tuple> keys;
+      for (std::size_t j = 0; j < kKeys; ++j) keys.push_back(Tuple{(37 * j + 11 * i) % nodes});
+      const auto b0 = comm.stats().total_remote_bytes();
+      const auto res = srv.apply_updates({d});
+      const auto b1 = comm.stats().total_remote_bytes();
+      const auto rows = srv.lookup_batch("spath", keys);
+      const auto b2 = comm.stats().total_remote_bytes();
+      EXPECT_FALSE(res.aborted_fault);
+      EXPECT_EQ(rows.size(), kKeys);
+      update_bytes[me] += b1 - b0;
+      lookup_bytes[me] += b2 - b1;
+    }
+  });
+  std::uint64_t update = 0, lookup = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    update += update_bytes[static_cast<std::size_t>(r)];
+    lookup += lookup_bytes[static_cast<std::size_t>(r)];
+  }
+  EXPECT_EQ(update, 21488u);
+  EXPECT_EQ(lookup, 29037u);
 }
 
 }  // namespace

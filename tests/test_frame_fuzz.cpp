@@ -1,4 +1,4 @@
-// Seeded fuzzing of the two frame decoders that face the wire.
+// Seeded fuzzing of the frame decoders that face the wire.
 //
 // ReliableChannel::on_data is the single envelope decoder: every faultable
 // frame passes through it, so for any byte string it is handed the only
@@ -13,8 +13,11 @@
 // kind's route table must either decode inside the buffer or throw
 // FrameDecodeError, never read out of bounds (decoding runs over
 // exact-size heap copies, and the asan-ubsan preset runs this binary
-// too).  Every schedule is a pure function of the seed, so a failure
-// replays exactly.
+// too).  serving::decode_lookup_replies, the receive side of
+// ServingEngine::lookup_batch, gets the same treatment, and must also
+// reject well-formed replies carrying rows for keys nobody requested.
+// Every schedule is a pure function of the seed, so a failure replays
+// exactly.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@
 
 #include "core/program.hpp"
 #include "core/row_codec.hpp"
+#include "serving/serving_engine.hpp"
 #include "vmpi/reliable.hpp"
 #include "vmpi/runtime.hpp"
 
@@ -379,6 +383,127 @@ TEST(FrameFuzz, SortedRunsCodeSmallerThanRawWords) {
   std::vector<value_t> back;
   core::append_frame_rows(frame, 2, back);
   EXPECT_EQ(back, rows);
+}
+
+/// Every row of `rows` (flat, arity 3) whose leading columns equal `key`.
+std::vector<core::Tuple> rows_with_prefix(const std::vector<value_t>& rows,
+                                          const core::Tuple& key) {
+  std::vector<core::Tuple> out;
+  for (std::size_t off = 0; off < rows.size(); off += 3) {
+    const std::span<const value_t> row(rows.data() + off, 3);
+    if (std::equal(key.view().begin(), key.view().end(), row.begin())) out.emplace_back(row);
+  }
+  return out;
+}
+
+/// Throws FrameDecodeError, or returns rows that each begin with the key
+/// they were placed under, sorted per key.
+void expect_placed_or_typed(const std::vector<Bytes>& replies,
+                            std::span<const core::Tuple> uniq, std::uint64_t& threw) {
+  try {
+    const auto per = serving::decode_lookup_replies(replies, uniq, 3);
+    ASSERT_EQ(per.size(), uniq.size());
+    for (std::size_t k = 0; k < per.size(); ++k) {
+      EXPECT_TRUE(std::is_sorted(per[k].begin(), per[k].end()));
+      for (const auto& row : per[k]) {
+        const auto key = uniq[k].view();
+        EXPECT_TRUE(std::equal(key.begin(), key.end(), row.view().begin()));
+      }
+    }
+  } catch (const vmpi::FrameDecodeError&) {
+    ++threw;
+  }
+}
+
+TEST(FrameFuzz, LookupReplyDecoderPlacesRowsOrThrowsTyped) {
+  // Random stored rows (arity 3, small values, so keys collide) spread
+  // over 1-4 replies the way sub-buckets spread them, requested keys of
+  // every prefix length 0-3.  Clean replies decode to exactly each key's
+  // rows; a reply with one row for an unrequested key throws; garbled
+  // replies throw typed or place rows only under keys they begin with.
+  std::mt19937_64 rng(0x100C);
+  std::uint64_t threw_garbled = 0, unrequested = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    const std::size_t klen = rng() % 4;
+    std::vector<value_t> stored((rng() % 16) * 3);
+    for (auto& v : stored) v = rng() % 4;
+    core::sort_rows(stored, 3);
+    std::vector<value_t> rows;  // unique rows
+    for (std::size_t off = 0; off < stored.size(); off += 3) {
+      if (rows.empty() || !std::equal(rows.end() - 3, rows.end(), stored.begin() + off)) {
+        rows.insert(rows.end(), stored.begin() + off, stored.begin() + off + 3);
+      }
+    }
+    // Requested keys: prefixes of about half the rows and a few random
+    // ones, sorted and unique.
+    std::vector<core::Tuple> uniq;
+    for (std::size_t off = 0; off < rows.size(); off += 3) {
+      if (rng() % 2 == 0) uniq.emplace_back(std::span<const value_t>(rows.data() + off, klen));
+    }
+    for (std::size_t r = rng() % 3; r > 0; --r) {
+      core::Tuple key;
+      for (std::size_t c = 0; c < klen; ++c) key.push_back(rng() % 5);
+      uniq.push_back(key);
+    }
+    std::sort(uniq.begin(), uniq.end());
+    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+
+    // Each requested row goes to one random reply; each reply stays sorted.
+    const std::size_t nrep = 1 + rng() % 4;
+    std::vector<std::vector<value_t>> parts(nrep);
+    std::vector<value_t> unasked;  // the first row no key requested
+    for (std::size_t off = 0; off < rows.size(); off += 3) {
+      const std::span<const value_t> row(rows.data() + off, 3);
+      const bool asked = std::any_of(uniq.begin(), uniq.end(), [&](const core::Tuple& k) {
+        return std::equal(k.view().begin(), k.view().end(), row.begin());
+      });
+      if (asked) {
+        auto& part = parts[rng() % nrep];
+        part.insert(part.end(), row.begin(), row.end());
+      } else if (unasked.empty()) {
+        unasked.assign(row.begin(), row.end());
+      }
+    }
+    std::vector<Bytes> replies(nrep);
+    for (std::size_t r = 0; r < nrep; ++r) {
+      if (!parts[r].empty()) core::put_row_group(replies[r], 0, parts[r], 3);
+    }
+    const auto per = serving::decode_lookup_replies(replies, uniq, 3);
+    ASSERT_EQ(per.size(), uniq.size());
+    for (std::size_t k = 0; k < uniq.size(); ++k) {
+      EXPECT_EQ(per[k], rows_with_prefix(rows, uniq[k])) << "key " << k;
+    }
+
+    if (!unasked.empty()) {
+      // Well-formed and sorted, but carrying a row nobody requested.
+      auto& part = parts[rng() % nrep];
+      std::size_t at = 0;
+      while (at < part.size() &&
+             std::lexicographical_compare(part.begin() + static_cast<std::ptrdiff_t>(at),
+                                          part.begin() + static_cast<std::ptrdiff_t>(at + 3),
+                                          unasked.begin(), unasked.end())) {
+        at += 3;
+      }
+      part.insert(part.begin() + static_cast<std::ptrdiff_t>(at), unasked.begin(),
+                  unasked.end());
+      std::vector<Bytes> bad(nrep);
+      for (std::size_t r = 0; r < nrep; ++r) {
+        if (!parts[r].empty()) core::put_row_group(bad[r], 0, parts[r], 3);
+      }
+      EXPECT_THROW((void)serving::decode_lookup_replies(bad, uniq, 3), vmpi::FrameDecodeError);
+      ++unrequested;
+    }
+
+    const std::size_t victim = rng() % nrep;
+    std::vector<Bytes> garbled = replies;
+    garbled[victim] = replies[victim].empty() ? random_bytes(rng, 1 + rng() % 48)
+                                              : garble(rng, replies[victim]);
+    expect_placed_or_typed(std::vector<Bytes>(garbled.begin(), garbled.end()), uniq,
+                           threw_garbled);
+  }
+  EXPECT_GT(unrequested, 0u);
+  EXPECT_GT(threw_garbled, 0u);
 }
 
 }  // namespace

@@ -606,6 +606,121 @@ TEST(Serving, ResidentEngineKeepsOnlyTheLastRunAndUndoLogStaysWithinTheBatch) {
   }
 }
 
+TEST(Serving, LookupBatchEqualsPerKeyLookup) {
+  // lookup_batch answers every key exactly as lookup() of that key alone,
+  // and both equal the stored rows with that prefix (from a gather of the
+  // whole relation): unsorted, duplicate and absent keys, every prefix
+  // length of the target's key (0 is a full scan), on the aggregated
+  // spath and on a sub-bucketed edge relation whose rows for one source
+  // node sit on several ranks, so receivers must merge one key's rows
+  // across replies.
+  const auto g = graph::make_rmat({.scale = 6, .edge_factor = 4, .seed = 7});
+  constexpr value_t kAbsent = value_t{1} << 40;  // no node id is this large
+  for (const int ranks : {1, 3, 4}) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    std::uint64_t most_holders = 0, absent_keys = 0;
+    vmpi::run(ranks, [&](vmpi::Comm& comm) {
+      auto prog = queries::build_sssp_program(comm, /*edge_sub_buckets=*/3,
+                                              /*balance_edges=*/false);
+      serving::ServingEngine srv(comm, *prog.program, {});
+      queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+      srv.start();
+      for (core::Relation* rel : {prog.spath, prog.edge}) {
+        SCOPED_TRACE(rel->name());
+        const auto all = srv.lookup(rel->name(), {});
+        const auto gathered = rel->gather_to_root(0);  // sorted, rank 0 only
+        if (comm.rank() == 0) {
+          EXPECT_EQ(all, gathered);
+        }
+        ASSERT_FALSE(all.empty());
+        const auto& tree = std::as_const(rel->tree(core::Version::kFull));
+        for (std::size_t len = 0; len <= tree.key_arity(); ++len) {
+          SCOPED_TRACE("prefix length " + std::to_string(len));
+          // Prefixes of every 5th stored row, largest first (so unsorted),
+          // one repeated at both ends and one in the middle, and an absent
+          // key among them.
+          std::vector<Tuple> keys;
+          for (std::size_t i = all.size(); i-- > 0;) {
+            if (i % 5 == 0) keys.emplace_back(all[i].prefix(len));
+          }
+          const Tuple first = keys.front(), middle = keys[keys.size() / 2];
+          keys.push_back(first);
+          keys.insert(keys.begin() + 1, middle);
+          if (len > 0) {
+            Tuple absent = keys.back();
+            absent[0] = kAbsent;
+            keys.insert(keys.begin() + static_cast<std::ptrdiff_t>(keys.size() / 3), absent);
+          }
+          const auto per = srv.lookup_batch(rel->name(), keys);
+          ASSERT_EQ(per.size(), keys.size());
+          for (std::size_t i = 0; i < keys.size(); ++i) {
+            EXPECT_EQ(per[i], srv.lookup(rel->name(), keys[i].view())) << "key " << i;
+            std::vector<Tuple> want;
+            for (const Tuple& row : all) {
+              if (std::equal(keys[i].view().begin(), keys[i].view().end(), row.view().begin())) {
+                want.push_back(row);
+              }
+            }
+            EXPECT_EQ(per[i], want) << "key " << i;
+            if (comm.rank() == 0 && per[i].empty()) ++absent_keys;
+          }
+          if (rel == prog.edge && len == 1) {
+            // How many ranks hold rows of each requested source node.
+            std::vector<std::uint64_t> holders(keys.size(), 0);
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+              tree.scan_prefix(keys[i].view(),
+                               [&](std::span<const value_t>) { holders[i] = 1; });
+            }
+            comm.allreduce_each(std::span<std::uint64_t>(holders), vmpi::ReduceOp::kSum);
+            if (comm.rank() == 0) {
+              most_holders = *std::max_element(holders.begin(), holders.end());
+            }
+          }
+        }
+      }
+    });
+    EXPECT_GT(absent_keys, 0u);
+    if (ranks > 1) {
+      EXPECT_GE(most_holders, 2u) << "no key's rows were spread over ranks";
+    }
+  }
+}
+
+TEST(Serving, OneSummaryReductionPerBatch) {
+  // A batch's allreduces are one per retraction-wavefront round, the
+  // tail's own (SSSP's single loop rule: a join-order vote and a
+  // termination count per iteration), and exactly one that folds the
+  // batch's six result counters across ranks.
+  const auto g = graph::make_rmat({.scale = 6, .edge_factor = 4, .seed = 11});
+  constexpr std::size_t kBatches = 12;
+  std::vector<std::vector<Mutation>> batches(kBatches);
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    const auto v = static_cast<value_t>(i);
+    batches[i].push_back({true, Tuple{(v * 5 + 1) % 64, (v * 11 + 3) % 64, 1 + v % 7}});
+    for (const Tuple& t : pick_edges(g, 3 * i, 1)) batches[i].push_back({false, t});
+  }
+  std::uint64_t rounds = 0, tails = 0;
+  vmpi::run(3, [&](vmpi::Comm& comm) {
+    auto prog = queries::build_sssp_program(comm, 1, /*balance_edges=*/false);
+    serving::ServingEngine srv(comm, *prog.program, {});
+    queries::load_sssp_facts(prog, g, std::vector<value_t>{0});
+    srv.start();
+    for (const auto& b : batches) {
+      const auto calls0 = comm.stats().calls_of(vmpi::Op::kAllreduce);
+      const auto res = srv.apply_updates(shard_batch(comm, "edge", b));
+      const auto calls = comm.stats().calls_of(vmpi::Op::kAllreduce) - calls0;
+      EXPECT_FALSE(res.aborted_fault);
+      EXPECT_EQ(calls, res.retraction_rounds + 2 * res.tail_iterations + 1);
+      if (comm.rank() == 0) {
+        rounds += res.retraction_rounds;
+        tails += res.tail_iterations;
+      }
+    }
+  });
+  EXPECT_GT(rounds, 0u);
+  EXPECT_GT(tails, 0u);
+}
+
 TEST(Serving, RejectsUnservableProgramsAndMisuse) {
   // A program with no recursive stratum has nothing to maintain.
   vmpi::run(2, [&](vmpi::Comm& comm) {

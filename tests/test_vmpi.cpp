@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -80,6 +81,20 @@ TEST(Allreduce, RepeatedCallsDoNotInterfere) {
       EXPECT_EQ(comm.allreduce<int>(comm.rank() + i, ReduceOp::kSum),
                 10 + 5 * i);
     }
+  });
+}
+
+TEST(Allreduce, EachFoldsElementwiseInOneCall) {
+  run(5, [&](Comm& comm) {
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    std::array<std::uint64_t, 3> v{r, 10 * r, 7};
+    const auto calls0 = comm.stats().calls_of(vmpi::Op::kAllreduce);
+    comm.allreduce_each(std::span<std::uint64_t>(v), ReduceOp::kSum);
+    EXPECT_EQ(comm.stats().calls_of(vmpi::Op::kAllreduce) - calls0, 1u);
+    EXPECT_EQ(v, (std::array<std::uint64_t, 3>{10, 100, 35}));
+    std::array<std::uint64_t, 2> m{r, 4 - r};
+    comm.allreduce_each(std::span<std::uint64_t>(m), ReduceOp::kMax);
+    EXPECT_EQ(m, (std::array<std::uint64_t, 2>{4, 4}));
   });
 }
 
